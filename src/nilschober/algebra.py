@@ -501,26 +501,6 @@ class NilCoxeterModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_perm_entry(self, u: Perm, w: Perm) -> Perm | None:
-        """Image basis label of e_u under right multiplication by w."""
-        return nil_product(u, w)
-
-    def perm_matrix(self, w: Perm) -> list[list[Fraction]]:
-        """Right-action matrix of a crossing diagram w (any block-compatible
-        permutation whose products stay in the basis)."""
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for c, u in enumerate(self.basis):
-            img = nil_product(u, w)
-            if img is None:
-                continue
-            r = self.index.get(img)
-            if r is None:
-                raise AlgebraError(
-                    f"action of {w} leaves the module basis of NH_{self.tau}"
-                )
-            m[r][c] = Fraction(1)
-        return m
-
     def act_matrix(self, x: AlgebraElement) -> list[list[Fraction]]:
         """Right-action matrix of a general element (dots and h act by 0)."""
         m = [[Fraction(0)] * self.dim for _ in range(self.dim)]

@@ -4,14 +4,12 @@ Command-line front end.
 Subcommands: `check` (axiom sweeps with JSON reports), `eval` (normal forms
 of algebra expressions), `shuffles` (count or list), `render` (SVG diagram
 sets), `oracle` (worked NH_3 example).  Exit codes: 0 all checks pass,
-1 axiom failure, 2 usage error.  NILSCHOBER_THREADS caps the pair-sweep
-parallelism of `check`.
+1 axiom failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -37,14 +35,6 @@ def parse_pair(text: str) -> Pair:
     return ab, cd
 
 
-def _threads() -> int:
-    raw = os.environ.get("NILSCHOBER_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     if not 2 <= args.n <= args.max_n:
         print(
@@ -58,7 +48,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         pair_filter=pair,
         max_oracle=args.max_oracle,
         with_timing=args.timing,
-        threads=_threads(),
     )
     text = to_json(doc)
     if args.json:

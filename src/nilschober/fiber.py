@@ -12,7 +12,6 @@ pair to an empty residual or to the single total block crossing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -128,7 +127,6 @@ class FiberReport:
     verdict: str  # "Vanishes" | "FlipEquivalence" | "Other"
     residual: DiagramSet
     flip_blocks: tuple[int, int] | None
-    elapsed: float
 
     def level_table(self) -> list[tuple[int, list[tuple[Index, int]]]]:
         out = []
@@ -161,7 +159,6 @@ def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
     >>> total_fiber(((1, 2), (2, 1))).verdict
     'FlipEquivalence'
     """
-    t0 = time.perf_counter()
     case = classify_pair(*pair)
     compute_pair = mirror_pair(pair) if case.mirrored else pair
     spec = build_bifactorization(compute_pair)
@@ -191,17 +188,12 @@ def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
         verdict=verdict,
         residual=residual,
         flip_blocks=flip,
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def is_twist_pair(pair: Pair) -> bool:
     (a, b), (c, d) = pair
     return (c, d) == (b, a)
-
-
-def expected_verdict(pair: Pair) -> str:
-    return "FlipEquivalence" if is_twist_pair(pair) else "Vanishes"
 
 
 def check_recursiveness(n_total: int, comp: Composition, i: int) -> bool:

@@ -2,16 +2,20 @@
 Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with int or Fraction entries; everything is
-decidable equality, no floating point.  Integer matrices take the
-fraction-free Bareiss route for ranks; general solves run Gauss-Jordan over
-Fraction.
+decidable equality, no floating point.  All elimination runs through one
+kernel, sparse Gauss-Jordan over Fraction: rows go in as {column: value}
+dicts and the reduced row echelon form comes out as {pivot column: monic
+row}.  Ranks, `rref`, kernels and solves are read off that form, and since
+the reduced form is unique, so is every kernel basis built from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]
 
 
 class LinAlgError(ValueError):
@@ -48,10 +52,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         return False
@@ -62,77 +62,81 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Fraction-free elimination rank for integer matrices."""
-    m = [row[:] for row in m]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+def _sparse(m: Iterable[list]) -> list[SparseRow]:
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def _subtract(row: SparseRow, f: Fraction, piv: SparseRow) -> None:
+    """row -= f * piv in place, dropping the entries that cancel."""
+    for c, v in piv.items():
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Reduced row echelon form of the span of `rows`: {pivot column: monic
+    row}, each row zero in every other pivot column.
+
+    The forward pass reduces each row against the existing pivots, lowest
+    column first, until it vanishes or opens a new pivot.  Back-substitution
+    then walks the pivots from the highest column down: every higher pivot
+    row is already reduced, so substituting it brings in free columns only.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            _subtract(row, row[c], pivots[c])
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _subtract(row, row[k], pivots[k])
+    return pivots
+
+
+def _kernel_basis(pivots: dict[int, SparseRow], ncols: int) -> Matrix:
+    """Kernel basis as the columns of a (ncols x free) matrix: one column
+    per free variable, set to 1, with the pivot variables it forces."""
+    free = [c for c in range(ncols) if c not in pivots]
+    slot = {c: k for k, c in enumerate(free)}
+    basis = zeros(ncols, len(free))
+    for c, k in slot.items():
+        basis[c][k] = Fraction(1)
+    for pc, row in pivots.items():
+        for c, v in row.items():
+            if c != pc:
+                basis[pc][slot[c]] = -v
+    return basis
 
 
 def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    if all(isinstance(x, int) or x.denominator == 1 for row in m for x in row):
-        return _bareiss_rank([[int(x) for x in row] for row in m])
-    reduced, pivots = rref(m)
-    return len(pivots)
+    return len(_echelon(_sparse(m)))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns (Gauss-Jordan, exact)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Reduced row echelon form (zero rows last) and pivot columns."""
+    cols = len(m[0]) if m else 0
+    pivots = _echelon(_sparse(m))
+    order = sorted(pivots)
+    reduced = zeros(len(m), cols)
+    for r, c in enumerate(order):
+        for k, v in pivots[c].items():
+            reduced[r][k] = v
+    return reduced, order
 
 
 def nullspace(m: Matrix, cols: int | None = None) -> Matrix:
     """Basis of the kernel, as columns of the returned (cols x k) matrix."""
-    if not m:
-        n = cols or 0
-        return identity_matrix(n)
-    n = len(m[0])
-    reduced, pivots = rref(m)
-    free = [c for c in range(n) if c not in pivots]
-    basis = zeros(n, len(free))
-    for k, fc in enumerate(free):
-        basis[fc][k] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            basis[pc][k] = -reduced[r][fc]
-    return basis
+    ncols = len(m[0]) if m else cols or 0
+    return _kernel_basis(_echelon(_sparse(m)), ncols)
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -140,68 +144,24 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
 
     `a` must have full column rank (the columns form a basis of a subspace).
     """
-    rows = len(a)
     acols = len(a[0]) if a else 0
     bcols = len(b[0]) if b else 0
-    if len(b) != rows:
+    if len(b) != len(a):
         raise LinAlgError("row mismatch in solve")
-    aug = [[Fraction(x) for x in ra] + [Fraction(y) for y in rb]
-           for ra, rb in zip(a, b)] if rows else []
-    reduced, pivots = rref(aug)
-    pivots_in_a = [c for c in pivots if c < acols]
-    if len(pivots_in_a) != acols:
+    pivots = _echelon(_sparse(ra + rb for ra, rb in zip(a, b)))
+    if sum(c < acols for c in pivots) != acols:
         raise LinAlgError("coefficient matrix does not have full column rank")
-    if any(c >= acols for c in pivots):
+    if len(pivots) > acols:
         raise LinAlgError("inconsistent system: image leaves the subspace")
     x = zeros(acols, bcols)
-    for r, pc in enumerate(pivots_in_a):
-        for j in range(bcols):
-            x[pc][j] = reduced[r][acols + j]
+    for pc, row in pivots.items():
+        for c, v in row.items():
+            if c != pc:
+                x[pc][c - acols] = v
     return x
-
-
-SparseRow = dict[int, Fraction]
 
 
 def sparse_nullspace(rows: list[SparseRow], ncols: int) -> Matrix:
     """Kernel basis for a sparse system; suited to intertwiner equations
     whose rows touch only a couple of unknowns."""
-    rows = [dict(r) for r in rows if r]
-    pivot_of_col: dict[int, SparseRow] = {}
-    for row in rows:
-        while True:
-            row = {c: v for c, v in row.items() if v != 0}
-            if not row:
-                break
-            c = min(row)
-            if c in pivot_of_col:
-                piv = pivot_of_col[c]
-                f = row[c] / piv[c]
-                for pc, pv in piv.items():
-                    row[pc] = row.get(pc, Fraction(0)) - f * pv
-                row.pop(c, None)
-            else:
-                pivot_of_col[c] = row
-                break
-    # back-substitute to make each pivot row reduced against later pivots
-    for c in sorted(pivot_of_col, reverse=True):
-        row = pivot_of_col[c]
-        inv = 1 / row[c]
-        row = {k: v * inv for k, v in row.items()}
-        pivot_of_col[c] = row
-        for c2, row2 in list(pivot_of_col.items()):
-            if c2 == c or c not in row2:
-                continue
-            f = row2[c]
-            for k, v in row.items():
-                row2[k] = row2.get(k, Fraction(0)) - f * v
-            row2.pop(c, None)
-            pivot_of_col[c2] = {k: v for k, v in row2.items() if v != 0}
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = zeros(ncols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc][k] = Fraction(1)
-        for pc, row in pivot_of_col.items():
-            if fc in row:
-                basis[pc][k] = -row[fc]
-    return basis
+    return _kernel_basis(_echelon(rows), ncols)

@@ -44,7 +44,7 @@ from .linalg import (
     sparse_nullspace,
     zeros,
 )
-from .perms import Perm, block_cross, compose
+from .perms import block_cross, compose
 from .shuffles import enumerate_shuffles
 
 
@@ -140,23 +140,7 @@ class RealizedVertex:
         The output block at (E, F) draws from the input blocks (E_i, F_j)
         of the nested decompositions g E = sum E_i x_i, x_i F = sum F_j y.
         """
-        dim_t = self.module.dim
-        m = zeros(self.dim, self.dim)
-        for e in self.e_set:
-            moved = g * AlgebraElement.from_perm(e, self.cd)
-            outer = module_decompose(self.cd, self.outer_fine, moved)
-            for f in self.f_set:
-                row = self.block_index[compose(e, f)] * dim_t
-                f_elem = AlgebraElement.from_perm(f, self.inner_coarse)
-                for e_i, x_i in outer.items():
-                    z = x_i * f_elem
-                    inner = module_decompose(
-                        self.inner_coarse, self.inner_fine, z
-                    )
-                    for f_j, y in inner.items():
-                        col = self.block_index[compose(e_i, f_j)] * dim_t
-                        _accumulate_block(m, row, col, self.module.act_matrix(y))
-        return m
+        return _two_layer_matrix(self, self, g)
 
 
 def realize_map(src: RealizedVertex, dst: RealizedVertex) -> Matrix:
@@ -175,20 +159,28 @@ def realize_map(src: RealizedVertex, dst: RealizedVertex) -> Matrix:
     """
     if src.module is not dst.module:
         raise OracleError("source and target must share a coefficient module")
+    return _two_layer_matrix(src, dst, None)
+
+
+def _two_layer_matrix(
+    src: RealizedVertex, dst: RealizedVertex, g: AlgebraElement | None
+) -> Matrix:
+    """The matrix of phi -> ((E', F') -> phi(g E')(F')), from src to dst
+    coordinates, decomposing over the src layers; g = None is the identity."""
     dim_t = src.module.dim
     m = zeros(dst.dim, src.dim)
-    for e_prime in dst.e_set:
-        outer = module_decompose(
-            src.cd,
-            src.outer_fine,
-            AlgebraElement.from_perm(e_prime, src.cd),
-        )
-        for f_prime in dst.f_set:
-            row = dst.block_index[compose(e_prime, f_prime)] * dim_t
-            f_elem = AlgebraElement.from_perm(f_prime, src.inner_coarse)
+    for e in dst.e_set:
+        moved = AlgebraElement.from_perm(e, src.cd)
+        if g is not None:
+            moved = g * moved
+        outer = module_decompose(src.cd, src.outer_fine, moved)
+        for f in dst.f_set:
+            row = dst.block_index[compose(e, f)] * dim_t
+            f_elem = AlgebraElement.from_perm(f, src.inner_coarse)
             for e_i, x_i in outer.items():
-                z = x_i * f_elem
-                inner = module_decompose(src.inner_coarse, src.inner_fine, z)
+                inner = module_decompose(
+                    src.inner_coarse, src.inner_fine, x_i * f_elem
+                )
                 for f_j, y in inner.items():
                     col = src.block_index[compose(e_i, f_j)] * dim_t
                     _accumulate_block(m, row, col, src.module.act_matrix(y))

@@ -10,17 +10,11 @@ the diagram `a` sits on top of `b`, so `b` acts first and the result sends
 
 from __future__ import annotations
 
-from itertools import permutations as _all_perms
-
 Perm = tuple[int, ...]
 
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def is_perm(w: tuple[int, ...]) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -95,11 +89,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(word)
 
 
-def all_permutations(n: int) -> list[Perm]:
-    """All of S_n in lexicographic order."""
-    return [tuple(p) for p in _all_perms(range(1, n + 1))]
-
-
 def reverse_conjugate(w: Perm) -> Perm:
     """Conjugate by the order-reversing permutation (mirror the diagram).
 
@@ -120,6 +109,3 @@ def block_cross(a: int, b: int) -> Perm:
     """
     return tuple(range(b + 1, b + a + 1)) + tuple(range(1, b + 1))
 
-
-def is_increasing_on(w: Perm, positions: tuple[int, ...]) -> bool:
-    return all(w[p - 1] < w[q - 1] for p, q in zip(positions, positions[1:]))

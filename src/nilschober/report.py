@@ -187,7 +187,6 @@ def build_report(
     pair_filter: Pair | None = None,
     max_oracle: int = 4,
     with_timing: bool = False,
-    threads: int = 1,
 ) -> dict[str, Any]:
     t0 = time.perf_counter()
     globals_ok, failures = _global_checks(n_total, max_oracle)
@@ -196,20 +195,7 @@ def build_report(
         if pair_filter not in pairs:
             raise ReportError(f"pair {pair_filter} is not a pair for n={n_total}")
         pairs = [pair_filter]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(
-                pool.map(
-                    lambda p: _pair_entry(p, globals_ok, failures, max_oracle),
-                    pairs,
-                )
-            )
-    else:
-        entries = [
-            _pair_entry(p, globals_ok, failures, max_oracle) for p in pairs
-        ]
+    entries = [_pair_entry(p, globals_ok, failures, max_oracle) for p in pairs]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n_total": n_total,

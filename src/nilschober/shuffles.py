@@ -98,21 +98,6 @@ def shuffle_count(sigma: Composition, tau: Composition) -> int:
     return count
 
 
-def is_shuffle(w: Perm, sigma: Composition, tau: Composition) -> bool:
-    groups = group_refinement(sigma, tau)
-    tau_pos = block_positions(tau)
-    sigma_pos = block_positions(sigma)
-    for i, group in enumerate(groups):
-        target = set(sigma_pos[i])
-        for j in group:
-            imgs = [w[p - 1] for p in tau_pos[j]]
-            if any(v not in target for v in imgs):
-                return False
-            if any(a >= b for a, b in zip(imgs, imgs[1:])):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class LevelParams:
     """Data of one iteration level for the palindromic pair family

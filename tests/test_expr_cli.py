@@ -228,12 +228,6 @@ def test_report_timing_flag():
     assert doc2["timing"] is None
 
 
-def test_report_threads_match_sequential():
-    seq = build_report(3, max_oracle=0)
-    par = build_report(3, max_oracle=0, threads=4)
-    assert to_json(seq) == to_json(par)
-
-
 def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
     import nilschober.report as report_mod
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra: ranks, kernels, solves, the sparse eliminator."""
+"""Exact linear algebra: ranks, rref, kernels and solves, checked against
+values that do not come from the elimination kernel itself."""
 
 import random
 from fractions import Fraction
@@ -70,24 +71,83 @@ def test_solve_matrix_rejects_rank_deficient():
         solve_matrix(a, [[F(1)], [F(2)]])
 
 
-def test_sparse_nullspace_matches_dense():
-    rng = random.Random(7)
-    for _ in range(25):
+def _known_rank(rng, rows, cols, r):
+    """B @ C with B (rows x r) and C (r x cols) each carrying an r x r
+    identity block, so the product has rank exactly r."""
+    b = [[F(rng.randint(-2, 2)) for _ in range(r)] for _ in range(rows)]
+    for i, row in enumerate(rng.sample(range(rows), r)):
+        b[row] = [F(int(i == j)) for j in range(r)]
+    c = [[F(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(r)]
+    for j, col in enumerate(rng.sample(range(cols), r)):
+        for i in range(r):
+            c[i][col] = F(int(i == j))
+    return mat_mul(b, c)
+
+
+def _cases(seed, count=30):
+    rng = random.Random(seed)
+    for _ in range(count):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        dense = [
-            [F(rng.choice((-1, 0, 0, 0, 1, 2))) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        sparse = [
-            {j: v for j, v in enumerate(row) if v} for row in dense
-        ]
-        dense_basis = nullspace(dense)
-        sparse_basis = sparse_nullspace(sparse, cols)
-        k_dense = len(dense_basis[0]) if dense_basis and dense_basis[0] else 0
-        k_sparse = len(sparse_basis[0]) if sparse_basis and sparse_basis[0] else 0
-        assert k_dense == k_sparse
-        if k_sparse:
-            assert is_zero_matrix(mat_mul(dense, sparse_basis))
+        r = rng.randint(0, min(rows, cols))
+        yield _known_rank(rng, rows, cols, r), r
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def test_rank_of_known_rank_products():
+    for m, r in _cases(7):
+        assert rank(m) == r
+        assert rank(_transpose(m)) == r
+
+
+def test_rank_is_transpose_invariant():
+    rng = random.Random(11)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[F(rng.choice((-1, 0, 0, 1, 2, Fraction(1, 3))))
+              for _ in range(cols)] for _ in range(rows)]
+        assert rank(m) == rank(_transpose(m))
+
+
+def test_rref_meets_definition():
+    for m, r in _cases(13):
+        reduced, pivots = rref(m)
+        assert len(reduced) == len(m) and len(pivots) == r
+        assert pivots == sorted(set(pivots))
+        for i, pc in enumerate(pivots):
+            assert all(x == 0 for x in reduced[i][:pc])
+            assert reduced[i][pc] == 1
+            assert all(reduced[k][pc] == 0 for k in range(len(m)) if k != i)
+        assert all(x == 0 for row in reduced[r:] for x in row)
+        # every row of m is the combination of the reduced rows read off
+        # its pivot entries, so the row spaces agree
+        for row in m:
+            combo = [sum((row[pc] * reduced[i][j] for i, pc in enumerate(pivots)),
+                         F(0)) for j in range(len(row))]
+            assert combo == row
+
+
+def test_nullspace_basis_of_known_rank():
+    for m, r in _cases(17):
+        cols = len(m[0])
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+        for basis in (nullspace(m), sparse_nullspace(sparse, cols)):
+            k = len(basis[0]) if basis and basis[0] else 0
+            assert len(basis) == cols and k == cols - r
+            if k:
+                assert is_zero_matrix(mat_mul(m, basis))
+                assert rank(basis) == k
+
+
+def test_nullspace_hand_computed():
+    # rref is [[1, 2, 0, 1], [0, 0, 1, -1]]: free columns 1 and 3
+    m = [[F(2), F(4), F(1), F(1)], [F(1), F(2), F(1), F(0)]]
+    expected = [[F(-2), F(-1)], [F(1), F(0)], [F(0), F(1)], [F(0), F(1)]]
+    assert nullspace(m) == expected
+    sparse = [{0: F(2), 1: F(4), 2: F(1), 3: F(1)}, {0: F(1), 1: F(2), 2: F(1)}]
+    assert sparse_nullspace(sparse, 4) == expected
 
 
 def test_identity_and_zeros_shapes():

@@ -150,6 +150,11 @@ def test_adjunction_examples():
         check_adjunction((1, 2), (3,))
 
 
+def test_adjunction_single_block_five_strands():
+    """sigma = (5,): the largest intertwiner system, 14,400 unknowns."""
+    assert check_adjunction((5,), (2, 3))
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_adjunction_sweep(n):
     for sigma in all_compositions(n):

@@ -4,7 +4,8 @@ Command-line front end.
 Subcommands: `check` (axiom sweeps with JSON reports), `eval` (normal forms
 of algebra expressions), `shuffles` (count or list), `render` (SVG diagram
 sets), `oracle` (worked NH_3 example).  Exit codes: 0 all checks pass,
-1 axiom failure, 2 usage error.
+1 axiom failure, 2 usage error, 3 internal error (a cube, fiber, oracle or
+linear-algebra invariant failed: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ import sys
 from pathlib import Path
 
 from .compositions import CompositionError, Pair, parse_composition
+from .cubes import CubeError
 from .expr import ExprError, eval_string, format_element
+from .fiber import FiberError
+from .linalg import LinAlgError
+from .oracle import OracleError
 from .report import ReportError, build_report, report_ok, to_json
 from .shuffles import ShuffleError, enumerate_shuffles
 
-USAGE_ERROR = 2
 AXIOM_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def parse_pair(text: str) -> Pair:
@@ -170,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CubeError, FiberError, OracleError, LinAlgError) as exc:
+        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (CompositionError, ShuffleError, ExprError, ReportError, ValueError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return USAGE_ERROR

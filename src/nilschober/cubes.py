@@ -10,6 +10,7 @@ go coarse-to-fine, induction steps fine-to-coarse, composed top to bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .compositions import (
     Composition,
@@ -20,7 +21,7 @@ from .compositions import (
     refines,
     total,
 )
-from .perms import Perm, compose
+from .perms import Perm, compose, decode_sorted
 from .shuffles import enumerate_shuffles, shuffle_count
 
 
@@ -157,12 +158,18 @@ class FunctorWord:
 @dataclass(frozen=True)
 class BCVertex:
     """One vertex of the Beck-Chevalley cube: a functor word plus its free
-    rank over the coefficient module and its diagram basis."""
+    rank over the coefficient module and its diagram basis, kept as byte
+    codes (one byte per strand) and decoded when `products` is read."""
 
     index: tuple[int, ...]  # (beta_1, ..., beta_{d-2}, layer)
     word: FunctorWord
     rank: int
-    products: tuple[Perm, ...]  # composed outer o inner shuffles, sorted
+    codes: frozenset[bytes]  # composed outer o inner shuffles
+
+    @cached_property
+    def products(self) -> tuple[Perm, ...]:
+        """The composed products in one-line notation, sorted."""
+        return decode_sorted(self.codes)
 
 
 def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
@@ -187,14 +194,14 @@ def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
         cube.vertex((1, 0) + zeros),
     )
     word = FunctorWord(rows)
-    products = word_products(word)
+    codes = word_codes(word)
     rank = vertex_rank_from_word(word)
-    if len(products) != rank:
+    if len(codes) != rank:
         raise CubeError(
-            f"shuffle products collide at {beta}, {layer}: "
-            f"{len(products)} products for rank {rank}"
+            f"shuffle products disagree with the rank at {beta}, {layer}: "
+            f"{len(codes)} products for rank {rank}"
         )
-    return BCVertex(beta + (layer,), word, rank, products)
+    return BCVertex(beta + (layer,), word, rank, codes)
 
 
 def vertex_rank_from_word(word: FunctorWord) -> int:
@@ -216,7 +223,34 @@ def word_products(word: FunctorWord) -> tuple[Perm, ...]:
     Walking the word top to bottom, each induction step contributes its
     shuffle set; later sets stack on top (compose on the left).
     """
-    return tuple(sorted(word_factorizations(word)))
+    return decode_sorted(word_codes(word))
+
+
+def word_codes(word: FunctorWord) -> frozenset[bytes]:
+    """The composed products as byte codes: byte p-1 of a code is w(p).
+
+    For each outer shuffle e, `f.translate(table)` with table[x] = e(x)
+    is `compose(e, f)`.  Products must be pairwise distinct, as in
+    `word_factorizations`, or the vertex is ill-formed.
+    """
+    (cd, outer_fine), (inner_coarse, inner_fine) = vertex_hom_layers(word)
+    n = total(cd)
+    if n > 255:
+        raise CubeError(f"byte-coded diagrams hold at most 255 strands, got {n}")
+    outer = enumerate_shuffles(cd, outer_fine)
+    inner = [bytes(f) for f in enumerate_shuffles(inner_coarse, inner_fine)]
+    tail = bytes(range(n + 1, 256))
+    codes = frozenset(
+        f.translate(table)
+        for table in (bytes((0, *e)) + tail for e in outer)
+        for f in inner
+    )
+    if len(codes) < len(outer) * len(inner):
+        raise CubeError(
+            f"{len(outer) * len(inner) - len(codes)} shuffle products "
+            f"collide in {word.rows}"
+        )
+    return codes
 
 
 def word_factorizations(word: FunctorWord) -> dict[Perm, tuple[Perm, Perm]]:

@@ -8,11 +8,17 @@ difference: the lower vertex's products sit inside the upper vertex's, and
 the kernel is spanned by the complement.  Iterating layer-first and then
 through the palindrome axes outermost-last drives every
 pair to an empty residual or to the single total block crossing.
+
+Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
+each collapse is a frozenset difference.  They are decoded into sorted
+one-line tuples only when `vertex_sets` is read; a mirrored level keeps
+the codes of the mirror pair and conjugates them back on that read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as iproduct
 
 from .compositions import (
@@ -25,7 +31,7 @@ from .compositions import (
     total,
 )
 from .cubes import CubeSpec, bc_vertex, build_bifactorization
-from .perms import Perm, block_cross, reverse_conjugate
+from .perms import Perm, block_cross, decode_sorted
 from .shuffles import enumerate_shuffles
 
 
@@ -40,23 +46,41 @@ class FiberContainmentError(FiberError):
 
 Index = tuple[int, ...]
 DiagramSet = tuple[Perm, ...]
+Codes = frozenset[bytes]
 
 
 @dataclass(frozen=True)
 class IntermediateCube:
     """One stage of the iteration: `level` axes remain and every remaining
-    index carries the diagram set spanning its vertex."""
+    index carries the byte codes of the diagrams spanning its vertex.
+
+    `mirrored` marks codes computed on the mirror pair: they stand for
+    their conjugates by the order reversal.
+    """
 
     pair: Pair
     axes: tuple[str, ...]
-    vertex_sets: dict[Index, DiagramSet]
+    codes: dict[Index, Codes]
+    mirrored: bool = False
 
     @property
     def level(self) -> int:
         return len(self.axes)
 
     def rank(self, index: Index) -> int:
-        return len(self.vertex_sets[index])
+        return len(self.codes[index])
+
+    @cached_property
+    def vertex_sets(self) -> dict[Index, DiagramSet]:
+        """Every vertex's diagrams as sorted one-line permutations."""
+        return {index: self._decode(c) for index, c in self.codes.items()}
+
+    def _decode(self, codes: Codes) -> DiagramSet:
+        if not self.mirrored:
+            return decode_sorted(codes)
+        n = sum(self.pair[0])
+        flip = bytes((0, *range(n, 0, -1))) + bytes(range(n + 1, 256))
+        return decode_sorted(w[::-1].translate(flip) for w in codes)
 
 
 def collapse_order(cube: CubeSpec, alternate_tail: bool = False) -> list[str]:
@@ -82,11 +106,11 @@ def initial_cube(pair: Pair) -> IntermediateCube:
     """The Beck-Chevalley cube itself, with its composed-shuffle sets."""
     cube = build_bifactorization(pair)
     axes = cube.bc_axes()
-    sets: dict[Index, DiagramSet] = {}
+    codes: dict[Index, Codes] = {}
     for beta in iproduct((0, 1), repeat=cube.dim - 2):
         for layer in (0, 1):
-            sets[beta + (layer,)] = bc_vertex(cube, beta, layer).products
-    return IntermediateCube(pair, axes, sets)
+            codes[beta + (layer,)] = bc_vertex(cube, beta, layer).codes
+    return IntermediateCube(pair, axes, codes)
 
 
 def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
@@ -99,21 +123,19 @@ def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
         raise FiberError(f"axis {axis!r} already exhausted in {cube.axes}")
     pos = cube.axes.index(axis)
     rest = cube.axes[:pos] + cube.axes[pos + 1 :]
-    sets: dict[Index, DiagramSet] = {}
-    for index, upper in cube.vertex_sets.items():
+    codes: dict[Index, Codes] = {}
+    for index, upper in cube.codes.items():
         if index[pos] != 0:
             continue
-        low_index = index[:pos] + (1,) + index[pos + 1 :]
-        lower = cube.vertex_sets[low_index]
-        missing = set(lower) - set(upper)
-        if missing:
+        lower = cube.codes[index[:pos] + (1,) + index[pos + 1 :]]
+        if not lower <= upper:
+            missing = lower - upper
             raise FiberContainmentError(
                 f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
-                f"missing from the upper set, e.g. {sorted(missing)[0]}"
+                f"missing from the upper set, e.g. {cube._decode(missing)[0]}"
             )
-        child = tuple(sorted(set(upper) - set(lower)))
-        sets[index[:pos] + index[pos + 1 :]] = child
-    return IntermediateCube(cube.pair, rest, sets)
+        codes[index[:pos] + index[pos + 1 :]] = upper - lower
+    return replace(cube, axes=rest, codes=codes)
 
 
 @dataclass
@@ -132,27 +154,19 @@ class FiberReport:
         out = []
         for cube in self.levels:
             entries = sorted(
-                (index, len(dset)) for index, dset in cube.vertex_sets.items()
+                (index, len(codes)) for index, codes in cube.codes.items()
             )
             out.append((cube.level, entries))
         return out
 
 
-def _transport(cube: IntermediateCube, pair: Pair) -> IntermediateCube:
-    """Carry a mirrored run back: conjugate every diagram by the reversal."""
-    sets = {
-        index: tuple(sorted(reverse_conjugate(w) for w in dset))
-        for index, dset in cube.vertex_sets.items()
-    }
-    return IntermediateCube(pair, cube.axes, sets)
-
-
 def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
     """Collapse the whole Beck-Chevalley cube of the pair.
 
-    Mirrored (a < c) pairs are computed on the mirrored pair and the
-    diagrams are conjugated back by the order reversal; the report records
-    that the mirror was used.
+    Mirrored (a < c) pairs are computed on the mirrored pair; each level
+    keeps those codes and conjugates them back by the order reversal when
+    its `vertex_sets` is read.  The report records that the mirror was
+    used.
 
     >>> total_fiber(((2, 3), (2, 3))).verdict
     'Vanishes'
@@ -168,7 +182,7 @@ def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
         cube = take_fiber_along(cube, axis)
         levels.append(cube)
     if case.mirrored:
-        levels = [_transport(c, pair) for c in levels]
+        levels = [replace(c, pair=pair, mirrored=True) for c in levels]
     residual = levels[-1].vertex_sets[()]
     a, b = pair[0]
     if not residual:

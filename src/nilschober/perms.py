@@ -99,6 +99,17 @@ def reverse_conjugate(w: Perm) -> Perm:
     return tuple(n + 1 - w[n - p] for p in range(1, n + 1))
 
 
+def decode_sorted(codes) -> tuple[Perm, ...]:
+    """Byte codes (byte p-1 holds w(p)) as sorted one-line permutations.
+
+    Codes of one length sort as bytes exactly as their tuples do.
+
+    >>> decode_sorted({bytes((2, 1, 3)), bytes((1, 2, 3))})
+    ((1, 2, 3), (2, 1, 3))
+    """
+    return tuple(map(tuple, sorted(codes)))
+
+
 def block_cross(a: int, b: int) -> Perm:
     """Total crossing of a block of `a` strands over a block of `b` strands.
 

@@ -119,6 +119,20 @@ def test_criterion_4_oracle_equivalence():
     _passed(4, f"oracle equivalence on {count} pairs ({elapsed:.2f}s)")
 
 
+def test_criterion_4_oracle_equivalence_five_strands():
+    """The engine and the matrix oracle agree on all 16 pairs at
+    5 strands, and the four twist pairs carry the flip action."""
+    twists = 0
+    for pair in two_part_pairs(5):
+        assert oracle_matches_diagram(pair), pair
+        if is_twist_pair(pair):
+            assert flip_action_check(pair), pair
+            twists += 1
+    assert twists == 4
+    _passed(4, "oracle equivalence on 16 pairs at 5 strands, flip action "
+               "on 4 twist pairs")
+
+
 def test_criterion_5_nh3_example_suite():
     """BC words match H I*, G* F, II*, Id; the square is bicartesian with
     the documented top map; the swap kernel is the flip module."""

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import nilschober.cubes as cubes_mod
 from nilschober.compositions import classify_pair, psi, refines
 from nilschober.cubes import (
     CubeError,
@@ -13,6 +14,8 @@ from nilschober.cubes import (
     edge_checks,
     vertex_rank,
     vertex_rank_from_word,
+    word_factorizations,
+    word_products,
 )
 from nilschober.report import two_part_pairs
 
@@ -164,3 +167,35 @@ def test_bad_indices_rejected():
         bc_vertex(cube, (0,), 0)
     with pytest.raises(CubeError):
         bc_vertex(cube, (0, 0), 2)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_products_match_tuple_factorizations(n):
+    """The byte-coded kernel gives the products that composing the
+    (outer, inner) shuffle pairs as tuples gives."""
+    for pair in two_part_pairs(n):
+        cube = build_bifactorization(pair)
+        for beta in product((0, 1), repeat=cube.dim - 2):
+            for layer in (0, 1):
+                v = bc_vertex(cube, beta, layer)
+                expected = tuple(sorted(word_factorizations(v.word)))
+                assert v.products == expected, (pair, beta, layer)
+                assert word_products(v.word) == expected
+
+
+def test_products_refuse_more_than_255_strands():
+    with pytest.raises(CubeError, match="255"):
+        word_products(FunctorWord(((256,),) * 5))
+
+
+def test_repeated_shuffle_is_a_collision(monkeypatch):
+    real = cubes_mod.enumerate_shuffles
+
+    def repeating(sigma, tau):
+        shuffles = real(sigma, tau)
+        return shuffles + shuffles[:1]
+
+    monkeypatch.setattr(cubes_mod, "enumerate_shuffles", repeating)
+    cube = build_bifactorization(((1, 2), (2, 1)))
+    with pytest.raises(CubeError, match="collide"):
+        bc_vertex(cube, (), 0)

@@ -1,13 +1,18 @@
 """Expression grammar, canonical printing, CLI surface and reports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilschober.cli import main, parse_pair
+from nilschober.cubes import CubeError
 from nilschober.expr import ExprError, eval_string, format_element, parse
+from nilschober.fiber import FiberContainmentError, FiberError
+from nilschober.linalg import LinAlgError
+from nilschober.oracle import OracleError
 from nilschober.report import (
     ReportError,
     build_report,
@@ -243,3 +248,51 @@ def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
                  "--max-oracle", "0"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "error",
+    [CubeError, FiberError, OracleError, LinAlgError],
+)
+def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys, error):
+    import nilschober.report as report_mod
+
+    def broken(pair, alternate_tail=False):
+        raise error("invariant violated")
+
+    monkeypatch.setattr(report_mod, "total_fiber", broken)
+    code = main(["check", "--n", "2", "--json", str(tmp_path / "r.json"),
+                 "--max-oracle", "0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "nilschober: internal error: invariant violated" in err
+
+
+def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
+    """0 all checks pass, 1 axiom failure, 2 usage error, 3 internal error."""
+    import nilschober.fiber as fiber_mod
+
+    check = ["check", "--n", "2", "--json", str(tmp_path / "r.json"),
+             "--max-oracle", "0"]
+    assert main(check) == 0
+    assert main(["render", "--pair", "1,1;1,1", "--level", "9",
+                 "--out", str(tmp_path)]) == 2
+    assert main(["check", "--n", "3", "--pair", "1,1;1,1"]) == 2
+    real = fiber_mod.take_fiber_along
+
+    def other(cube, axis):
+        child = real(cube, axis)
+        if child.level:
+            return child
+        return replace(child, codes={(): frozenset({bytes((1, 2))})})
+
+    monkeypatch.setattr(fiber_mod, "take_fiber_along", other)
+    assert main(check) == 1
+
+    def broken(cube, axis):
+        raise FiberContainmentError("lower set not inside the upper set")
+
+    monkeypatch.setattr(fiber_mod, "take_fiber_along", broken)
+    assert main(check) == 3
+    err = capsys.readouterr().err
+    assert "internal error: lower set not inside the upper set" in err

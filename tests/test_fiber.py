@@ -4,7 +4,12 @@ from math import comb
 
 import pytest
 
-from nilschober.compositions import all_compositions, refines
+from nilschober.compositions import (
+    all_compositions,
+    classify_pair,
+    mirror_pair,
+    refines,
+)
 from nilschober.fiber import (
     FiberContainmentError,
     FiberError,
@@ -17,7 +22,7 @@ from nilschober.fiber import (
     total_fiber,
 )
 from nilschober.cubes import build_bifactorization
-from nilschober.perms import block_cross, compose
+from nilschober.perms import block_cross, compose, reverse_conjugate
 from nilschober.report import two_part_pairs
 from nilschober.shuffles import LevelParams, anycross, mincross
 
@@ -121,6 +126,31 @@ def test_mirrored_pairs_report_mirror():
     # transported residual is W = [3,1,2], the crossing of blocks (1)(2,3)
     assert rep.residual == ((3, 1, 2),)
     assert not total_fiber(((2, 1), (1, 2))).mirrored
+
+
+def _conjugated(dset):
+    return tuple(sorted(reverse_conjugate(w) for w in dset))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_mirrored_levels_are_conjugates(n):
+    """Every level of a mirrored pair is its mirror pair's level with
+    each diagram conjugated by the order reversal."""
+    mirrored = [p for p in two_part_pairs(n) if classify_pair(*p).mirrored]
+    assert mirrored or n == 2
+    for pair in mirrored:
+        rep = total_fiber(pair)
+        ref = total_fiber(mirror_pair(pair))
+        assert rep.mirrored and not ref.mirrored
+        assert len(rep.levels) == len(ref.levels)
+        for cube, ref_cube in zip(rep.levels, ref.levels):
+            assert cube.pair == pair and cube.axes == ref_cube.axes
+            assert cube.vertex_sets == {
+                index: _conjugated(dset)
+                for index, dset in ref_cube.vertex_sets.items()
+            }, (pair, cube.level)
+        assert rep.residual == _conjugated(ref.residual)
+        assert rep.level_table() == ref.level_table()
 
 
 def test_level_sets_match_levelparams():

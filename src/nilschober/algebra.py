@@ -28,6 +28,7 @@ from .compositions import (
     refines,
     total,
 )
+from .linalg import Entries, Matrix, from_entries
 from .perms import (
     Perm,
     adjacent_transposition,
@@ -394,6 +395,7 @@ def module_decompose(
     if not refines(sigma, x.block):
         raise AlgebraError(f"element of NH_{x.block} is not in NH_{sigma}")
     n = x.n
+    zero_dots = (0,) * n
     result: dict[Perm, dict[TermKey, HPoly]] = {}
     work = dict(x.terms)
     while work:
@@ -407,11 +409,8 @@ def module_decompose(
         piece[tkey] = piece.get(tkey, HPoly()) + coef
         # subtract alpha * (X^pushed u); its top term cancels (dots, w) and
         # the h-corrections flow back into the working set
-        prod = AlgebraElement.from_perm(alpha, (n,)) * AlgebraElement(
-            n, (n,), {tkey: coef}
-        )
-        for pkey, hp in prod.terms.items():
-            acc = work.get(pkey, HPoly()) - hp
+        for pkey, hp in _mul_basis(zero_dots, alpha, pushed, u).items():
+            acc = work.get(pkey, HPoly()) - coef * hp
             if acc.is_zero():
                 work.pop(pkey, None)
             else:
@@ -501,9 +500,14 @@ class NilCoxeterModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_matrix(self, x: AlgebraElement) -> list[list[Fraction]]:
-        """Right-action matrix of a general element (dots and h act by 0)."""
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+    def act_entries(self, x: AlgebraElement) -> Entries:
+        """Nonzero entries {(row, col): value} of the right action of a
+        general element (dots and h act by 0).
+
+        Only the dot-free terms act, one permutation w each, and u -> u o w
+        is injective, so every entry comes from a single term.
+        """
+        out: Entries = {}
         for (dots, w), hp in x.terms.items():
             if any(dots):
                 continue
@@ -519,8 +523,12 @@ class NilCoxeterModule:
                     raise AlgebraError(
                         f"action of {w} leaves the module basis of NH_{self.tau}"
                     )
-                m[r][c] += c0
-        return m
+                out[(r, c)] = c0
+        return out
+
+    def act_matrix(self, x: AlgebraElement) -> Matrix:
+        """Right-action matrix of a general element: `act_entries`, dense."""
+        return from_entries(self.act_entries(x), self.dim, self.dim)
 
 
 class TruncatedPolyModule:
@@ -550,8 +558,13 @@ class TruncatedPolyModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    def act_matrix(self, x: AlgebraElement) -> list[list[Fraction]]:
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+    def act_entries(self, x: AlgebraElement) -> Entries:
+        """Nonzero entries {(row, col): value} of the right action of x.
+
+        Column c is the truncated product (basis vector c) * x; its terms
+        and h-powers are distinct, so each entry is set once.
+        """
+        out: Entries = {}
         for c, (e, dots, w) in enumerate(self.basis):
             elem = AlgebraElement(self.n, self.tau, {(dots, w): HPoly.h(e)})
             prod = elem * x
@@ -561,9 +574,12 @@ class TruncatedPolyModule:
                 for exp, coeff in hp.coeffs.items():
                     if exp >= self.h_bound:
                         continue
-                    r = self.index[(exp, pdots, pw)]
-                    m[r][c] += coeff
-        return m
+                    out[(self.index[(exp, pdots, pw)], c)] = coeff
+        return out
+
+    def act_matrix(self, x: AlgebraElement) -> Matrix:
+        """Right-action matrix of x: `act_entries`, dense."""
+        return from_entries(self.act_entries(x), self.dim, self.dim)
 
 
 def _dot_vectors(n: int, max_total: int) -> list[Dots]:

@@ -236,8 +236,6 @@ def check_recursiveness(n_total: int, comp: Composition, i: int) -> bool:
         return tuple(out)
 
     for sigma in all_compositions(n_i):
-        if total(embed_comp(sigma)) != n_total:
-            return False
         for tau in all_compositions(n_i):
             if not refines(sigma, tau):
                 continue
@@ -254,14 +252,21 @@ def check_far_commutativity(
     c1: Composition,
     d0: Composition,
     d1: Composition,
+    *,
+    memo: dict | None = None,
 ) -> bool:
     """Induce along the right slot, forget along the left, in both orders.
 
     True iff the two composite functors have the same shuffle index set and
-    literally equal generator action matrices on the nil-Coxeter module of
-    the source algebra.
+    equal generator actions on the nil-Coxeter module of the source
+    algebra, compared generator by generator as their nonzero entries.
+
+    `memo` may be shared by the calls of one sweep: it keeps each route's
+    HomSpace under (outer, inner, source) with the entries of every
+    generator computed on it, so a route action is built once per sweep.
+    Without it every call starts from an empty one.
     """
-    from .algebra import NilCoxeterModule
+    from .algebra import AlgebraElement, NilCoxeterModule, s_generators
     from .oracle import HomSpace
 
     a, b = ab
@@ -269,18 +274,34 @@ def check_far_commutativity(
         raise FiberError("compositions do not split the two blocks")
     if not refines(c0, c1) or not refines(d0, d1):
         raise FiberError("need c0 <= c1 and d0 <= d1")
+    if memo is None:
+        memo = {}
     source = c0 + d1
-    route_a = HomSpace(outer=c0 + d0, inner=c0 + d1, module=NilCoxeterModule(source))
-    route_b = HomSpace(outer=c1 + d0, inner=c1 + d1, module=NilCoxeterModule(source))
-    if route_a.shuffles != route_b.shuffles:
-        return False
-    from .algebra import AlgebraElement, s_generators
 
+    def route(outer: Composition, inner: Composition):
+        key = (outer, inner, source)
+        if key not in memo:
+            memo[key] = (HomSpace(outer, inner, NilCoxeterModule(source)), {})
+        return memo[key]
+
+    route_a = route(c0 + d0, c0 + d1)
+    route_b = route(c1 + d0, c1 + d1)
+    if route_a[0].shuffles != route_b[0].shuffles:
+        return False
     n = total(source)
     acting = c1 + d0
-    gens = [AlgebraElement.s_gen(n, i, acting) for i in s_generators(acting)]
-    gens += [AlgebraElement.x_gen(n, i, acting) for i in range(1, n + 1)]
-    for g in gens:
-        if route_a.action_matrix(g) != route_b.action_matrix(g):
+    tokens = [("s", i) for i in s_generators(acting)]
+    tokens += [("x", i) for i in range(1, n + 1)]
+
+    def entries(side, token):
+        space, table = side
+        if token not in table:
+            kind, i = token
+            gen = AlgebraElement.s_gen if kind == "s" else AlgebraElement.x_gen
+            table[token] = space.action_entries(gen(n, i, acting))
+        return table[token]
+
+    for token in tokens:
+        if entries(route_a, token) != entries(route_b, token):
             return False
     return True

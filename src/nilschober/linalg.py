@@ -16,6 +16,7 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 SparseRow = dict[int, Fraction]
+Entries = dict[tuple[int, int], Fraction]  # nonzero {(row, col): value}
 
 
 class LinAlgError(ValueError):
@@ -24,6 +25,14 @@ class LinAlgError(ValueError):
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def from_entries(entries: Entries, rows: int, cols: int) -> Matrix:
+    """The dense matrix with the given {(row, col): value} entries."""
+    m = zeros(rows, cols)
+    for (r, c), v in entries.items():
+        m[r][c] = v
+    return m
 
 
 def identity_matrix(n: int) -> Matrix:

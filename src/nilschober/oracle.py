@@ -33,8 +33,10 @@ from .cubes import (
 )
 from .fiber import collapse_order
 from .linalg import (
+    Entries,
     LinAlgError,
     Matrix,
+    from_entries,
     identity_matrix,
     mat_eq,
     mat_mul,
@@ -66,7 +68,8 @@ class HomSpace:
     """Hom over NH_inner of maps NH_outer -> T, with its right actions.
 
     Basis: one copy of the module per (outer, inner)-shuffle, ordered by
-    the lexicographic shuffle order.
+    the lexicographic shuffle order.  Actions are built as sparse entries
+    (`action_entries`); `action_matrix` is their dense form.
     """
 
     def __init__(self, outer: Composition, inner: Composition, module):
@@ -82,23 +85,29 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.shuffles) * self.module.dim
 
-    def action_matrix(self, g: AlgebraElement) -> Matrix:
-        """Right action of g (an element of a subalgebra of NH_outer).
+    def action_entries(self, g: AlgebraElement) -> Entries:
+        """Nonzero entries {(row, col): value} of the right action of g (an
+        element of a subalgebra of NH_outer).
 
         (phi.g)(alpha) = phi(g alpha) = sum phi(alpha') . y, so the output
         block at alpha draws from the input blocks alpha' of the
-        decomposition g alpha = sum alpha' y.
+        decomposition g alpha = sum alpha' y.  Each (alpha, alpha') block
+        is written once, from the module's entries of y.
         """
         dim_t = self.module.dim
-        m = zeros(self.dim, self.dim)
+        out: Entries = {}
         for row, alpha in enumerate(self.shuffles):
+            r0 = row * dim_t
             moved = g * AlgebraElement.from_perm(alpha, self.outer)
             for aprime, y in module_decompose(self.outer, self.inner, moved).items():
-                block = self.module.act_matrix(y)
-                _accumulate_block(
-                    m, row * dim_t, self.index[aprime] * dim_t, block
-                )
-        return m
+                c0 = self.index[aprime] * dim_t
+                for (r, c), v in self.module.act_entries(y).items():
+                    out[(r0 + r, c0 + c)] = v
+        return out
+
+    def action_matrix(self, g: AlgebraElement) -> Matrix:
+        """Right action of g: `action_entries`, dense."""
+        return from_entries(self.action_entries(g), self.dim, self.dim)
 
 
 class RealizedVertex:
@@ -391,15 +400,15 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
     gens_sigma += [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
 
     hom_small = _intertwiner_basis(
-        [m_mod.act_matrix(g) for g in gens_tau],
-        [n_mod.act_matrix(g) for g in gens_tau],
+        [m_mod.act_entries(g) for g in gens_tau],
+        [n_mod.act_entries(g) for g in gens_tau],
         m_mod.dim,
         n_mod.dim,
     )
     ind = HomSpace(sigma, tau, n_mod)
     hom_big = _intertwiner_basis(
-        [m_mod.act_matrix(g) for g in gens_sigma],
-        [ind.action_matrix(g) for g in gens_sigma],
+        [m_mod.act_entries(g) for g in gens_sigma],
+        [ind.action_entries(g) for g in gens_sigma],
         m_mod.dim,
         ind.dim,
     )
@@ -422,21 +431,25 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
 
 
 def _intertwiner_basis(
-    dom_actions: list[Matrix], cod_actions: list[Matrix], dim_m: int, dim_n: int
+    dom_actions: list[Entries], cod_actions: list[Entries], dim_m: int, dim_n: int
 ) -> Matrix:
     """Kernel basis of F A_g = B_g F over all generators; unknowns are the
-    entries F[r][c] flattened as r*dim_m + c."""
+    entries F[r][c] flattened as r*dim_m + c.
+
+    The actions come as nonzero entries, and the equation (r, c) of each
+    generator is assembled from them alone: A_g[k][c] enters every
+    equation of column c, B_g[r][k] every equation of row r.
+    """
     rows = []
     for a_g, b_g in zip(dom_actions, cod_actions):
-        for r in range(dim_n):
+        eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (k, c), v in a_g.items():
+            for r in range(dim_n):
+                row = eqs.setdefault((r, c), {})
+                row[r * dim_m + k] = row.get(r * dim_m + k, 0) + v
+        for (r, k), v in b_g.items():
             for c in range(dim_m):
-                row: dict[int, Fraction] = {}
-                for k in range(dim_m):
-                    if a_g[k][c]:
-                        row[r * dim_m + k] = row.get(r * dim_m + k, Fraction(0)) + a_g[k][c]
-                for k in range(dim_n):
-                    if b_g[r][k]:
-                        row[k * dim_m + c] = row.get(k * dim_m + c, Fraction(0)) - b_g[r][k]
-                if row:
-                    rows.append(row)
+                row = eqs.setdefault((r, c), {})
+                row[k * dim_m + c] = row.get(k * dim_m + c, 0) - v
+        rows.extend(eqs.values())
     return sparse_nullspace(rows, dim_n * dim_m)

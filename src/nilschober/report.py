@@ -79,6 +79,7 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
                 failures.append(f"recursiveness fails at {comp}, slot {i}")
     far = True
     matrix_far = n_total <= max(5, max_oracle)
+    memo: dict = {}  # route actions shared by this sweep only
     for a in range(1, n_total):
         b = n_total - a
         for c0 in all_compositions(a):
@@ -90,7 +91,9 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
                         if not refines(d0, d1):
                             continue
                         if matrix_far:
-                            ok = check_far_commutativity((a, b), c0, c1, d0, d1)
+                            ok = check_far_commutativity(
+                                (a, b), c0, c1, d0, d1, memo=memo
+                            )
                         else:
                             ok = set(
                                 enumerate_shuffles(c0 + d0, c0 + d1)

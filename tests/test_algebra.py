@@ -19,9 +19,10 @@ from nilschober.algebra import (
     normal_form,
     s_generators,
 )
+from nilschober.compositions import all_compositions, refines
 from nilschober.expr import format_element
-from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul
-from nilschober.perms import compose, inversions
+from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul, zeros
+from nilschober.perms import compose, inversions, nil_product
 from nilschober.shuffles import enumerate_shuffles
 
 W = (3, 1, 2)  # the 3-cycle diagram of the NH_3 example, IX stacked on XI
@@ -244,6 +245,59 @@ def test_nilcoxeter_action_relations(tau):
             assert mat_eq(lhs, rhs)
 
 
+def _block_preserving(n, tau):
+    cuts = [sum(tau[:k]) for k in range(len(tau) + 1)]
+    block = {p: k for k in range(len(tau)) for p in range(cuts[k] + 1, cuts[k + 1] + 1)}
+    return sorted(
+        w for w in permutations(range(1, n + 1))
+        if all(block[w[p - 1]] == block[p] for p in range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_nilcoxeter_entries_match_nil_product(n):
+    """For every refinement sigma <= tau, elements of NH_tau act on the
+    nil-Coxeter modules of sigma and tau exactly as the dense matrix built
+    here from nil_product: e_u . w = e_{u w} when lengths add, dotted
+    terms and h-multiples act by 0."""
+    comps = all_compositions(n)
+    for sigma in comps:
+        for tau in comps:
+            if not refines(sigma, tau):
+                continue
+            perms = _block_preserving(n, tau)
+            mixed = A.zero(n, tau)
+            for k, w in enumerate(perms):
+                mixed = mixed + A.from_perm(w, tau).scale(k + 1)
+            mixed = mixed + A.h_scalar(n, 1, tau) * A.from_perm(perms[-1], tau)
+            mixed = mixed + A.x_gen(n, 1, tau) * A.from_perm(perms[-1], tau)
+            elements = [A.s_gen(n, i, tau) for i in s_generators(tau)]
+            elements += [A.x_gen(n, i, tau) for i in range(1, n + 1)]
+            elements += [A.from_perm(w, tau) for w in perms] + [mixed]
+            for rho in {sigma, tau}:
+                mod = NilCoxeterModule(rho)
+                basis = _block_preserving(n, rho)
+                assert mod.basis == basis
+                index = {u: i for i, u in enumerate(basis)}
+                for x in elements:
+                    dense = zeros(len(basis), len(basis))
+                    for (dots, w), hp in x.terms.items():
+                        if any(dots):
+                            continue
+                        for c, u in enumerate(basis):
+                            img = nil_product(u, w)
+                            if img is not None:
+                                dense[index[img]][c] += hp.coeffs.get(0, 0)
+                    expected = {
+                        (r, c): v
+                        for r, row in enumerate(dense)
+                        for c, v in enumerate(row)
+                        if v
+                    }
+                    assert mod.act_entries(x) == expected, (rho, tau, x)
+                    assert mat_eq(mod.act_matrix(x), dense)
+
+
 def test_truncated_module_sees_h():
     mod = TruncatedPolyModule((2,), dot_bound=2, h_bound=2)
     n = 2
@@ -259,6 +313,8 @@ def test_truncated_module_sees_h():
     )
     assert lhs  # X1 s1 = s1 X2 + h acts identically on the truncation
     assert not is_zero_matrix(mod.act_matrix(h))
+    for x in (x1s1, s1x2, h):
+        assert all(mod.act_entries(x).values())  # nonzero entries only
 
 
 def test_hpoly_arithmetic():

@@ -22,8 +22,9 @@ from nilschober.fiber import (
     total_fiber,
 )
 from nilschober.cubes import build_bifactorization
+from nilschober.oracle import HomSpace
 from nilschober.perms import block_cross, compose, reverse_conjugate
-from nilschober.report import two_part_pairs
+from nilschober.report import build_report, report_ok, to_json, two_part_pairs
 from nilschober.shuffles import LevelParams, anycross, mincross
 
 
@@ -267,6 +268,79 @@ def test_far_commutativity_sweep(n):
                         if not refines(d0, d1):
                             continue
                         assert check_far_commutativity((a, b), c0, c1, d0, d1)
+
+
+def _far_commutativity_cases(max_n):
+    for n in range(2, max_n + 1):
+        for a in range(1, n):
+            b = n - a
+            for c0 in all_compositions(a):
+                for c1 in all_compositions(a):
+                    if not refines(c0, c1):
+                        continue
+                    for d0 in all_compositions(b):
+                        for d1 in all_compositions(b):
+                            if refines(d0, d1):
+                                yield (a, b), c0, c1, d0, d1
+
+
+def _perturb_route_b(monkeypatch):
+    """Add 1 to entry (0, 0) of every action on a route-b Hom space.
+
+    Route a is HomSpace(c0+d0, c0+d1) over the module of c0+d1, route b
+    is HomSpace(c1+d0, c1+d1) over the same module, so a space is route b
+    of some c0 != c1 exactly when its inner algebra is not its module's."""
+    original = HomSpace.action_entries
+
+    def perturbed(self, g):
+        out = dict(original(self, g))
+        if self.inner != self.module.tau:
+            out[(0, 0)] = out.get((0, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(HomSpace, "action_entries", perturbed)
+
+
+def test_far_commutativity_can_fail(monkeypatch):
+    args = ((2, 2), (2,), (1, 1), (2,), (1, 1))
+    assert check_far_commutativity(*args)
+    assert report_ok(build_report(4))
+    _perturb_route_b(monkeypatch)
+    assert not check_far_commutativity(*args)
+    assert not check_far_commutativity(*args, memo={})
+    # c0 == c1: both routes are the same unperturbed space
+    assert check_far_commutativity((2, 2), (2,), (2,), (2,), (1, 1), memo={})
+    doc = build_report(4)
+    assert not report_ok(doc)
+    for entry in doc["pairs"]:
+        checks = entry["checks"]
+        assert checks["far_commutativity"] is False
+        assert checks["adjunctability"] and checks["recursiveness"]
+        assert (
+            "far-commutativity fails at (2,2), (2,)<=(1, 1), (2,)<=(1, 1)"
+            in entry["failures"]
+        )
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_shared_memo_matches_fresh_calls(monkeypatch, perturbed):
+    """One memo over the whole n <= 5 sweep gives the verdicts of fresh
+    calls, also when route b is perturbed so that the verdicts differ."""
+    if perturbed:
+        _perturb_route_b(monkeypatch)
+    cases = list(_far_commutativity_cases(5))
+    memo: dict = {}
+    shared = [check_far_commutativity(*case, memo=memo) for case in cases]
+    fresh = [check_far_commutativity(*case) for case in cases]
+    assert shared == fresh
+    assert all(fresh) != perturbed
+    assert any(fresh)
+
+
+def test_repeated_pair_query_is_byte_identical():
+    pair = ((2, 3), (3, 2))
+    first = to_json(build_report(5, pair_filter=pair))
+    assert to_json(build_report(5, pair_filter=pair)) == first
 
 
 def test_sweeps_extend_to_seven_strands():

@@ -4,14 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from nilschober.algebra import NilCoxeterModule, TruncatedPolyModule
+from nilschober.algebra import (
+    AlgebraElement,
+    NilCoxeterModule,
+    TruncatedPolyModule,
+    s_generators,
+)
 from nilschober.compositions import all_compositions, refines
 from nilschober.cubes import bc_vertex, build_bifactorization
 from nilschober.fiber import total_fiber
-from nilschober.linalg import identity_matrix, mat_eq, rank, zeros
+from nilschober.linalg import (
+    identity_matrix,
+    mat_eq,
+    mat_mul,
+    rank,
+    sparse_nullspace,
+    zeros,
+)
 from nilschober.oracle import (
+    HomSpace,
     OracleError,
     RealizedVertex,
+    _intertwiner_basis,
     check_adjunction,
     check_bicartesian,
     flip_action_check,
@@ -198,3 +212,79 @@ def test_oracle_five_strand_palindrome_collapses():
         assert oracle_matches_diagram(pair), pair
     assert flip_action_check(((2, 3), (3, 2)))
     assert flip_action_check(((3, 2), (2, 3)))
+
+
+def _refinements(max_n):
+    for n in range(1, max_n + 1):
+        comps = all_compositions(n)
+        for sigma in comps:
+            for tau in comps:
+                if refines(sigma, tau):
+                    yield n, sigma, tau
+
+
+def test_x_generators_act_by_zero_on_hom_spaces():
+    """On a nil-Coxeter module every dot X_i acts on Hom(NH_sigma, T) by
+    the zero matrix: X_i alpha = alpha' X_j + h * (crossings), and dots and
+    h both act by 0.  Far-commutativity at matrix level therefore compares
+    empty actions for all its X generators.  An s generator never acts by
+    zero: at the identity shuffle it contributes a unit block or s_i."""
+    for n, sigma, tau in _refinements(4):
+        for rho in {sigma, tau}:
+            space = HomSpace(sigma, tau, NilCoxeterModule(rho))
+            for i in range(1, n + 1):
+                m = space.action_matrix(AlgebraElement.x_gen(n, i, sigma))
+                assert len(m) == space.dim
+                assert all(len(row) == space.dim and not any(row) for row in m)
+            for i in s_generators(sigma):
+                m = space.action_matrix(AlgebraElement.s_gen(n, i, sigma))
+                assert any(any(row) for row in m), (sigma, tau, rho, i)
+
+
+def _dense_intertwiner_basis(dom, cod, dim_m, dim_n):
+    """Reference: the intertwiner equations (F A_g - B_g F)[r][c] = 0 read
+    entry by entry off dense action matrices."""
+    rows = []
+    for a_g, b_g in zip(dom, cod):
+        for r in range(dim_n):
+            for c in range(dim_m):
+                row = {}
+                for k in range(dim_m):
+                    if a_g[k][c]:
+                        row[r * dim_m + k] = row.get(r * dim_m + k, 0) + a_g[k][c]
+                for k in range(dim_n):
+                    if b_g[r][k]:
+                        row[k * dim_m + c] = row.get(k * dim_m + c, 0) - b_g[r][k]
+                rows.append(row)
+    return sparse_nullspace(rows, dim_n * dim_m)
+
+
+def test_intertwiner_basis_from_entries_matches_dense_rows():
+    """Both intertwiner systems of check_adjunction, for every refinement
+    with n <= 4: the basis built from sparse entries equals the one built
+    from dense rows, and every basis vector intertwines."""
+    for n, sigma, tau in _refinements(4):
+        m_mod, n_mod = NilCoxeterModule(sigma), NilCoxeterModule(tau)
+        ind = HomSpace(sigma, tau, n_mod)
+        gens_tau = [AlgebraElement.s_gen(n, i, tau) for i in s_generators(tau)]
+        gens_tau += [AlgebraElement.x_gen(n, i, tau) for i in range(1, n + 1)]
+        gens_sigma = [AlgebraElement.s_gen(n, i, sigma) for i in s_generators(sigma)]
+        gens_sigma += [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
+        systems = [
+            (gens_tau, m_mod.act_entries, m_mod.act_matrix,
+             n_mod.act_entries, n_mod.act_matrix, n_mod.dim),
+            (gens_sigma, m_mod.act_entries, m_mod.act_matrix,
+             ind.action_entries, ind.action_matrix, ind.dim),
+        ]
+        for gens, dom_e, dom_m, cod_e, cod_m, dim_n in systems:
+            dim_m = m_mod.dim
+            dom = [dom_m(g) for g in gens]
+            cod = [cod_m(g) for g in gens]
+            basis = _intertwiner_basis(
+                [dom_e(g) for g in gens], [cod_e(g) for g in gens], dim_m, dim_n
+            )
+            assert basis == _dense_intertwiner_basis(dom, cod, dim_m, dim_n)
+            for k in range(len(basis[0]) if basis else 0):
+                f = [[basis[r * dim_m + c][k] for c in range(dim_m)] for r in range(dim_n)]
+                for a_g, b_g in zip(dom, cod):
+                    assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f))

@@ -52,6 +52,14 @@ class HPoly:
         }
 
     @classmethod
+    def _of(cls, coeffs: dict[int, Fraction]) -> "HPoly":
+        """Trusted constructor for coefficients that are already Fractions,
+        as the arithmetic below computes them: drops zeros, no coercion."""
+        p = cls.__new__(cls)
+        p.coeffs = {e: c for e, c in coeffs.items() if c}
+        return p
+
+    @classmethod
     def const(cls, c) -> "HPoly":
         return cls({0: Fraction(c)})
 
@@ -62,11 +70,11 @@ class HPoly:
     def __add__(self, other: "HPoly") -> "HPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return HPoly(out)
+            out[e] = out[e] + c if e in out else c
+        return HPoly._of(out)
 
     def __neg__(self) -> "HPoly":
-        return HPoly({e: -c for e, c in self.coeffs.items()})
+        return HPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "HPoly") -> "HPoly":
         return self + (-other)
@@ -75,15 +83,15 @@ class HPoly:
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HPoly(out)
+                e, c = e1 + e2, c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return HPoly._of(out)
 
     def scale(self, c) -> "HPoly":
         return HPoly({e: v * Fraction(c) for e, v in self.coeffs.items()})
 
     def shift(self, power: int) -> "HPoly":
-        return HPoly({e + power: v for e, v in self.coeffs.items()})
+        return HPoly._of({e + power: v for e, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs

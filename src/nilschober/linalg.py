@@ -1,26 +1,60 @@
 """
 Exact linear algebra over the rationals.
 
-Matrices are lists of row lists with int or Fraction entries; everything is
-decidable equality, no floating point.  All elimination runs through one
-kernel, sparse Gauss-Jordan over Fraction: rows go in as {column: value}
-dicts and the reduced row echelon form comes out as {pivot column: monic
-row}.  Ranks, `rref`, kernels and solves are read off that form, and since
-the reduced form is unique, so is every kernel basis built from it.
+Everything is decidable equality over Fraction, no floating point.  Two
+forms share one elimination kernel: dense matrices (lists of row lists with
+int or Fraction entries) behind `rank`, `rref`, `nullspace`, `solve_matrix`
+and `mat_mul`, and row-sparse `SparseMatrix` values (one {column: value}
+dict per row, zeros dropped, plus the column count) behind `sparse_mul`,
+`sparse_solve`, `sparse_rank` and `sparse_nullspace`, which the oracle uses
+end to end.  The kernel is sparse Gauss-Jordan: rows go in as
+{column: value} dicts and the reduced row echelon form comes out as
+{pivot column: monic row}.  Ranks, `rref`, kernels and solves are read off
+that form, and since the reduced form is unique, so is every kernel basis
+built from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from typing import NamedTuple
 
 Matrix = list[list[Fraction]]
 SparseRow = dict[int, Fraction]
 Entries = dict[tuple[int, int], Fraction]  # nonzero {(row, col): value}
 
+ONE = Fraction(1)
+
 
 class LinAlgError(ValueError):
     pass
+
+
+class SparseMatrix(NamedTuple):
+    """A row-sparse matrix: one {column: value} dict per row holding the
+    nonzero entries, and the column count (rows alone do not fix it)."""
+
+    rows: list[SparseRow]
+    cols: int
+
+    @classmethod
+    def from_entries(cls, entries: Entries, rows: int, cols: int) -> "SparseMatrix":
+        out: list[SparseRow] = [{} for _ in range(rows)]
+        for (r, c), v in entries.items():
+            out[r][c] = v
+        return cls(out, cols)
+
+    @classmethod
+    def identity(cls, n: int) -> "SparseMatrix":
+        return cls([{i: ONE} for i in range(n)], n)
+
+    def dense(self) -> Matrix:
+        m = zeros(len(self.rows), self.cols)
+        for out, row in zip(m, self.rows):
+            for c, v in row.items():
+                out[c] = v
+        return m
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -71,8 +105,10 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def _sparse(m: Iterable[list]) -> list[SparseRow]:
-    return [{c: x for c, x in enumerate(row) if x} for row in m]
+def _sparse(m: Matrix) -> SparseMatrix:
+    return SparseMatrix(
+        [{c: x for c, x in enumerate(row) if x} for row in m], len(m[0]) if m else 0
+    )
 
 
 def _subtract(row: SparseRow, f: Fraction, piv: SparseRow) -> None:
@@ -111,29 +147,24 @@ def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     return pivots
 
 
-def _kernel_basis(pivots: dict[int, SparseRow], ncols: int) -> Matrix:
+def _kernel_basis(pivots: dict[int, SparseRow], ncols: int) -> SparseMatrix:
     """Kernel basis as the columns of a (ncols x free) matrix: one column
     per free variable, set to 1, with the pivot variables it forces."""
-    free = [c for c in range(ncols) if c not in pivots]
-    slot = {c: k for k, c in enumerate(free)}
-    basis = zeros(ncols, len(free))
-    for c, k in slot.items():
-        basis[c][k] = Fraction(1)
+    slot = {c: k for k, c in enumerate(c for c in range(ncols) if c not in pivots)}
+    rows: list[SparseRow] = [{slot[c]: ONE} if c in slot else {} for c in range(ncols)]
     for pc, row in pivots.items():
-        for c, v in row.items():
-            if c != pc:
-                basis[pc][slot[c]] = -v
-    return basis
+        rows[pc] = {slot[c]: -v for c, v in row.items() if c != pc}
+    return SparseMatrix(rows, len(slot))
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(_sparse(m)))
+    return len(_echelon(_sparse(m).rows))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (zero rows last) and pivot columns."""
     cols = len(m[0]) if m else 0
-    pivots = _echelon(_sparse(m))
+    pivots = _echelon(_sparse(m).rows)
     order = sorted(pivots)
     reduced = zeros(len(m), cols)
     for r, c in enumerate(order):
@@ -145,7 +176,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 def nullspace(m: Matrix, cols: int | None = None) -> Matrix:
     """Basis of the kernel, as columns of the returned (cols x k) matrix."""
     ncols = len(m[0]) if m else cols or 0
-    return _kernel_basis(_echelon(_sparse(m)), ncols)
+    return _kernel_basis(_echelon(_sparse(m).rows), ncols).dense()
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -153,24 +184,52 @@ def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
 
     `a` must have full column rank (the columns form a basis of a subspace).
     """
-    acols = len(a[0]) if a else 0
-    bcols = len(b[0]) if b else 0
-    if len(b) != len(a):
+    return sparse_solve(_sparse(a), _sparse(b)).dense()
+
+
+def sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """The product a @ b: row i is the sum of a[i][k] * b[k]."""
+    if a.cols != len(b.rows):
+        raise LinAlgError(f"shape mismatch {a.cols} vs {len(b.rows)}")
+    out = []
+    for row in a.rows:
+        acc: SparseRow = {}
+        for k, x in row.items():
+            for j, y in b.rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return SparseMatrix(out, b.cols)
+
+
+def sparse_solve(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Solve a @ X = b column by column; raise if inconsistent.
+
+    `a` must have full column rank (the columns form a basis of a subspace).
+    One elimination of the rows of [a | b]: every column of `a` must be a
+    pivot, and no column of `b` may be one.
+    """
+    if len(b.rows) != len(a.rows):
         raise LinAlgError("row mismatch in solve")
-    pivots = _echelon(_sparse(ra + rb for ra, rb in zip(a, b)))
-    if sum(c < acols for c in pivots) != acols:
+    k = a.cols
+    pivots = _echelon(
+        {**ra, **{k + c: v for c, v in rb.items()}} for ra, rb in zip(a.rows, b.rows)
+    )
+    if sum(c < k for c in pivots) != k:
         raise LinAlgError("coefficient matrix does not have full column rank")
-    if len(pivots) > acols:
+    if len(pivots) > k:
         raise LinAlgError("inconsistent system: image leaves the subspace")
-    x = zeros(acols, bcols)
-    for pc, row in pivots.items():
-        for c, v in row.items():
-            if c != pc:
-                x[pc][c - acols] = v
-    return x
+    return SparseMatrix(
+        [{c - k: v for c, v in pivots[pc].items() if c != pc} for pc in range(k)],
+        b.cols,
+    )
 
 
-def sparse_nullspace(rows: list[SparseRow], ncols: int) -> Matrix:
-    """Kernel basis for a sparse system; suited to intertwiner equations
-    whose rows touch only a couple of unknowns."""
+def sparse_rank(rows: list[SparseRow]) -> int:
+    """Rank of the matrix with these sparse rows."""
+    return len(_echelon(rows))
+
+
+def sparse_nullspace(rows: list[SparseRow], ncols: int) -> SparseMatrix:
+    """Kernel basis of a sparse system, as the columns of a row-sparse
+    (ncols x k) matrix whose `cols` is the kernel dimension k."""
     return _kernel_basis(_echelon(rows), ncols)

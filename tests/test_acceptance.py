@@ -119,18 +119,32 @@ def test_criterion_4_oracle_equivalence():
     _passed(4, f"oracle equivalence on {count} pairs ({elapsed:.2f}s)")
 
 
-def test_criterion_4_oracle_equivalence_five_strands():
-    """The engine and the matrix oracle agree on all 16 pairs at
-    5 strands, and the four twist pairs carry the flip action."""
-    twists = 0
-    for pair in two_part_pairs(5):
+def _oracle_sweep(n):
+    """Runs the oracle on every pair at n strands and the flip check on
+    every twist pair; returns the two counts."""
+    pairs = twists = 0
+    for pair in two_part_pairs(n):
         assert oracle_matches_diagram(pair), pair
+        pairs += 1
         if is_twist_pair(pair):
             assert flip_action_check(pair), pair
             twists += 1
-    assert twists == 4
+    return pairs, twists
+
+
+def test_criterion_4_oracle_equivalence_five_strands():
+    """The engine and the matrix oracle agree on all 16 pairs at
+    5 strands, and the four twist pairs carry the flip action."""
+    assert _oracle_sweep(5) == (16, 4)
     _passed(4, "oracle equivalence on 16 pairs at 5 strands, flip action "
                "on 4 twist pairs")
+
+
+def test_criterion_4_oracle_equivalence_six_strands():
+    """The same at 6 strands: 25 pairs and 5 twist pairs."""
+    assert _oracle_sweep(6) == (25, 5)
+    _passed(4, "oracle equivalence on 25 pairs at 6 strands, flip action "
+               "on 5 twist pairs")
 
 
 def test_criterion_5_nh3_example_suite():

@@ -1,6 +1,7 @@
 """The strand-diagram rewriter: relations, confluence, decompositions."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -322,3 +323,8 @@ def test_hpoly_arithmetic():
     q = HPoly.h() - HPoly.const(1)
     assert (p * q).coeffs == {0: -2, 1: 1, 2: 1}
     assert (p - p).is_zero()
+    # cancelled terms are dropped and every result keeps Fraction values
+    r = (HPoly.h() + HPoly.const(1)) * q
+    assert r.coeffs == {0: -1, 2: 1}
+    for x in (p + q, -p, p * q, r, p.shift(2), p.scale(Fraction(1, 2))):
+        assert all(type(c) is Fraction and c for c in x.coeffs.values())

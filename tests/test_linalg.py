@@ -8,6 +8,7 @@ import pytest
 
 from nilschober.linalg import (
     LinAlgError,
+    SparseMatrix,
     identity_matrix,
     is_zero_matrix,
     mat_eq,
@@ -16,7 +17,9 @@ from nilschober.linalg import (
     rank,
     rref,
     solve_matrix,
+    sparse_mul,
     sparse_nullspace,
+    sparse_rank,
     zeros,
 )
 
@@ -96,10 +99,31 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _rows(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def test_rank_of_known_rank_products():
     for m, r in _cases(7):
         assert rank(m) == r
         assert rank(_transpose(m)) == r
+        assert sparse_rank(_rows(m)) == r
+
+
+def test_sparse_mul_matches_dense():
+    """Row-sparse products against the dense loop, with entries from
+    {-1, 0, 1} so that sums cancel and must be dropped."""
+    rng = random.Random(23)
+    for _ in range(40):
+        rows, inner, cols = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[F(rng.choice((-1, 0, 0, 1))) for _ in range(inner)] for _ in range(rows)]
+        b = [[F(rng.choice((-1, 0, 0, 1))) for _ in range(cols)] for _ in range(inner)]
+        prod = sparse_mul(SparseMatrix(_rows(a), inner), SparseMatrix(_rows(b), cols))
+        assert prod.cols == cols
+        assert prod.rows == _rows(mat_mul(a, b))
+        assert prod.dense() == mat_mul(a, b)
+    with pytest.raises(LinAlgError):
+        sparse_mul(SparseMatrix([{}], 2), SparseMatrix([{}], 1))
 
 
 def test_rank_is_transpose_invariant():
@@ -133,7 +157,7 @@ def test_nullspace_basis_of_known_rank():
     for m, r in _cases(17):
         cols = len(m[0])
         sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
-        for basis in (nullspace(m), sparse_nullspace(sparse, cols)):
+        for basis in (nullspace(m), sparse_nullspace(sparse, cols).dense()):
             k = len(basis[0]) if basis and basis[0] else 0
             assert len(basis) == cols and k == cols - r
             if k:
@@ -147,7 +171,7 @@ def test_nullspace_hand_computed():
     expected = [[F(-2), F(-1)], [F(1), F(0)], [F(0), F(1)], [F(0), F(1)]]
     assert nullspace(m) == expected
     sparse = [{0: F(2), 1: F(4), 2: F(1), 3: F(1)}, {0: F(1), 1: F(2), 2: F(1)}]
-    assert sparse_nullspace(sparse, 4) == expected
+    assert sparse_nullspace(sparse, 4).dense() == expected
 
 
 def test_identity_and_zeros_shapes():

@@ -1,23 +1,29 @@
 """The exact-matrix oracle: realized edges, kernels, adjunctions."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
+from nilschober import oracle
 from nilschober.algebra import (
     AlgebraElement,
     NilCoxeterModule,
     TruncatedPolyModule,
+    mirror_iso,
+    module_decompose,
     s_generators,
 )
 from nilschober.compositions import all_compositions, refines
 from nilschober.cubes import bc_vertex, build_bifactorization
-from nilschober.fiber import total_fiber
+from nilschober.fiber import collapse_order, total_fiber
 from nilschober.linalg import (
     identity_matrix,
     mat_eq,
     mat_mul,
+    nullspace,
     rank,
+    solve_matrix,
     sparse_nullspace,
     zeros,
 )
@@ -31,9 +37,11 @@ from nilschober.oracle import (
     flip_action_check,
     oracle_matches_diagram,
     realize_edge,
+    realize_entries,
     realize_map,
     realized_total_fiber,
 )
+from nilschober.perms import compose
 from nilschober.report import two_part_pairs
 
 
@@ -76,14 +84,31 @@ class _ZeroModule:
     tau = (1, 2)
     dim = 0
 
-    def act_matrix(self, x):
-        return []
+    def act_entries(self, x):
+        return {}
 
 
-def test_bicartesian_square_and_negative_control():
+def test_bicartesian_square_and_negative_control(monkeypatch):
+    """Zeroing the A.IX rows of the top map (and no other map) breaks the
+    square, the negative control from the worked example."""
     assert check_bicartesian()
-    assert not check_bicartesian(sabotage_top=True)
     assert check_bicartesian(_ZeroModule())
+    real = oracle.realize_map
+    sabotaged = []
+
+    def top_without_ix(src, dst):
+        m = real(src, dst)
+        if (src.vertex.index, dst.vertex.index) == ((0, 0), (1, 0)):
+            t = dst.module.dim
+            ix_row = dst.block_index[(1, 3, 2)] * t
+            for r in range(ix_row, ix_row + t):
+                m[r] = [Fraction(0)] * len(m[r])
+            sabotaged.append(src.vertex.index)
+        return m
+
+    monkeypatch.setattr(oracle, "realize_map", top_without_ix)
+    assert not check_bicartesian()
+    assert sabotaged == [(0, 0)]
 
 
 def test_bicartesian_top_map_structure():
@@ -119,10 +144,10 @@ def test_oracle_fiber_dimension_examples():
     mod = NilCoxeterModule((2, 3))
     fib = realized_total_fiber(((2, 3), (2, 3)), mod)
     assert fib.split_surjective
-    assert not fib.kernel or len(fib.kernel[0]) == 0
+    assert fib.kernel.cols == 0
     mod2 = NilCoxeterModule((2, 2))
     fib2 = realized_total_fiber(((2, 2), (2, 2)), mod2)
-    assert len(fib2.kernel[0]) == mod2.dim  # the twist fiber is a copy of T
+    assert fib2.kernel.cols == mod2.dim  # the twist fiber is a copy of T
 
 
 def test_truncated_module_oracle_spot_check():
@@ -149,11 +174,12 @@ def test_flip_action_checks():
         flip_action_check(((1, 1), (1, 1)), report)
 
 
-def test_flip_action_negative_control():
+def test_flip_action_negative_control(monkeypatch):
     """The mirror map differs from the flip on crossings for (1,3)/(3,1)
     and must fail the kernel-action comparison."""
     assert flip_action_check(((1, 3), (3, 1)))
-    assert not flip_action_check(((1, 3), (3, 1)), use_mirror_twist=True)
+    monkeypatch.setattr(oracle, "flip_iso", mirror_iso)
+    assert not flip_action_check(((1, 3), (3, 1)))
 
 
 def test_adjunction_examples():
@@ -284,7 +310,150 @@ def test_intertwiner_basis_from_entries_matches_dense_rows():
                 [dom_e(g) for g in gens], [cod_e(g) for g in gens], dim_m, dim_n
             )
             assert basis == _dense_intertwiner_basis(dom, cod, dim_m, dim_n)
-            for k in range(len(basis[0]) if basis else 0):
-                f = [[basis[r * dim_m + c][k] for c in range(dim_m)] for r in range(dim_n)]
+            dense = basis.dense()
+            assert len(dense) == dim_n * dim_m
+            for k in range(basis.cols):
+                f = [[dense[r * dim_m + c][k] for c in range(dim_m)] for r in range(dim_n)]
                 for a_g, b_g in zip(dom, cod):
                     assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f))
+
+
+def _dense_realized_fiber(pair, module):
+    """Reference: the iterated kernels on dense matrices (realize_map,
+    mat_mul, solve_matrix, rank, nullspace), one loop over the collapse
+    order.  Returns level dimensions, corner kernel, corner index and the
+    split-surjection flag."""
+    spec = build_bifactorization(pair)
+    axes = spec.bc_axes()
+    vertices = {
+        bits: RealizedVertex(bc_vertex(spec, bits[:-1], bits[-1]), module)
+        for bits in iproduct((0, 1), repeat=len(axes))
+    }
+    state = {bits: (bits, identity_matrix(v.dim)) for bits, v in vertices.items()}
+
+    def width(m):
+        return len(m[0]) if m else 0
+
+    remaining = list(axes)
+    level_dims = [{bits: width(basis) for bits, (_, basis) in state.items()}]
+    split = True
+    for axis in collapse_order(spec):
+        pos = remaining.index(axis)
+        new_state = {}
+        for index, (full_top, c_top) in state.items():
+            if index[pos] != 0:
+                continue
+            full_bot, c_bot = state[index[:pos] + (1,) + index[pos + 1:]]
+            edge = realize_map(vertices[full_top], vertices[full_bot])
+            restricted = solve_matrix(c_bot, mat_mul(edge, c_top))
+            if rank(restricted) != width(c_bot):
+                split = False
+            ker = nullspace(restricted, cols=width(c_top))
+            new_state[index[:pos] + index[pos + 1:]] = (full_top, mat_mul(c_top, ker))
+        state = new_state
+        remaining.pop(pos)
+        level_dims.append({bits: width(basis) for bits, (_, basis) in state.items()})
+    (corner, kernel), = state.values()
+    return level_dims, kernel, corner, split
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_sparse_fiber_matches_dense_reference(n):
+    """Level dimensions, split flag and the span of the corner kernel of
+    the sparse iteration equal the dense reference, for every pair."""
+    for pair in two_part_pairs(n):
+        module = NilCoxeterModule(pair[0])
+        fib = realized_total_fiber(pair, module)
+        dims, kernel, corner, split = _dense_realized_fiber(pair, module)
+        assert fib.level_dims == dims, pair
+        assert fib.split_surjective == split, pair
+        assert fib.corner.vertex.index == corner
+        k = fib.kernel.cols
+        sparse = fib.kernel.dense()
+        assert len(sparse) == len(kernel) == fib.corner.dim
+        assert rank(kernel) == rank(sparse) == k, pair
+        assert rank([a + b for a, b in zip(kernel, sparse)]) == k, pair
+
+
+def _accumulated_blocks(src, dst, g=None):
+    """Reference: the map phi -> ((E', F') -> phi(g E')(F')) as a dense
+    matrix, adding the module's act_matrix block of every y of the nested
+    decompositions g E' = sum E_i x_i, x_i F' = sum F_j y into its place."""
+    t = src.module.dim
+    m = zeros(dst.dim, src.dim)
+    for e in dst.e_set:
+        moved = AlgebraElement.from_perm(e, src.cd)
+        if g is not None:
+            moved = g * moved
+        outer = module_decompose(src.cd, src.outer_fine, moved)
+        for f in dst.f_set:
+            row = dst.block_index[compose(e, f)] * t
+            f_elem = AlgebraElement.from_perm(f, src.inner_coarse)
+            for e_i, x_i in outer.items():
+                inner = module_decompose(src.inner_coarse, src.inner_fine, x_i * f_elem)
+                for f_j, y in inner.items():
+                    col = src.block_index[compose(e_i, f_j)] * t
+                    for r, block_row in enumerate(src.module.act_matrix(y)):
+                        for c, v in enumerate(block_row):
+                            m[row + r][col + c] += v
+    return m
+
+
+def _nonzero(m):
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def test_edge_entries_match_block_accumulation():
+    """Every edge of every cube with n <= 4 (the collapse edges among
+    them), and the corner actions of the twist pairs: the entries equal
+    the nonzero cells of the dense block accumulation."""
+    edges = 0
+    for n in range(2, 5):
+        for pair in two_part_pairs(n):
+            module = NilCoxeterModule(pair[0])
+            spec = build_bifactorization(pair)
+            dim = len(spec.bc_axes())
+            vertices = {
+                bits: RealizedVertex(bc_vertex(spec, bits[:-1], bits[-1]), module)
+                for bits in iproduct((0, 1), repeat=dim)
+            }
+            for bits, top in vertices.items():
+                for pos in range(dim):
+                    if bits[pos] == 0:
+                        bottom = vertices[bits[:pos] + (1,) + bits[pos + 1:]]
+                        ref = _nonzero(_accumulated_blocks(top, bottom))
+                        assert realize_entries(top, bottom) == ref, (pair, bits, pos)
+                        edges += 1
+            if pair[1] == pair[0][::-1]:
+                corner = vertices[(0,) * dim]
+                c, d = pair[1]
+                gens = [AlgebraElement.s_gen(n, i, (c, d)) for i in s_generators((c, d))]
+                gens += [AlgebraElement.x_gen(n, i, (c, d)) for i in range(1, n + 1)]
+                for g in gens:
+                    ref = _nonzero(_accumulated_blocks(corner, corner, g))
+                    assert corner.action_entries(g) == ref, (pair, g)
+    assert edges > 0
+
+
+def test_zeroed_edge_block_breaks_split_surjectivity(monkeypatch):
+    """Zeroing the first block of rows of the layer edge (1,0) -> (1,1) of
+    ((1,2),(1,2)) enlarges its kernel, which is the lower end of the zeta
+    collapse: the restricted map then misses part of it."""
+    pair = ((1, 2), (1, 2))
+    assert realized_total_fiber(pair).split_surjective
+    assert oracle_matches_diagram(pair)
+    real = oracle.realize_entries
+    broken = []
+
+    def edge_without_block(src, dst):
+        entries = real(src, dst)
+        if (src.vertex.index, dst.vertex.index) == ((1, 0), (1, 1)):
+            t = dst.module.dim
+            entries = {(r, c): v for (r, c), v in entries.items() if r >= t}
+            broken.append(src.vertex.index)
+        return entries
+
+    monkeypatch.setattr(oracle, "realize_entries", edge_without_block)
+    assert not realized_total_fiber(pair).split_surjective
+    assert not oracle_matches_diagram(pair)
+    assert broken == [(1, 0), (1, 0)]

@@ -83,13 +83,13 @@ class IntermediateCube:
         return decode_sorted(w[::-1].translate(flip) for w in codes)
 
 
-def collapse_order(cube: CubeSpec, alternate_tail: bool = False) -> list[str]:
+def collapse_order(cube: CubeSpec) -> list[str]:
     """Layer first, then the palindrome axes eps_{k}..eps_1, then the rest.
 
-    `alternate_tail` reverses the trailing (zeta/eta) axes among
-    themselves: a debug re-run exercising a second valid order.  Orders
-    that move the layer later or permute the eps axes break the set-level
-    containment and are rejected by take_fiber_along.
+    The trailing (zeta/eta) axes may also be collapsed in reverse, with
+    the same result.  Orders that move the layer later or permute the eps
+    axes break the set-level containment and are rejected by
+    take_fiber_along.
     """
     axes = cube.bc_axes()
     eps = sorted(
@@ -97,8 +97,6 @@ def collapse_order(cube: CubeSpec, alternate_tail: bool = False) -> list[str]:
         key=lambda a: -int(a.removeprefix("eps")),
     )
     tail = [a for a in axes if a != "layer" and not a.startswith("eps")]
-    if alternate_tail:
-        tail = tail[::-1]
     return ["layer", *eps, *tail]
 
 
@@ -160,7 +158,7 @@ class FiberReport:
         return out
 
 
-def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
+def total_fiber(pair: Pair) -> FiberReport:
     """Collapse the whole Beck-Chevalley cube of the pair.
 
     Mirrored (a < c) pairs are computed on the mirrored pair; each level
@@ -178,7 +176,7 @@ def total_fiber(pair: Pair, alternate_tail: bool = False) -> FiberReport:
     spec = build_bifactorization(compute_pair)
     cube = initial_cube(compute_pair)
     levels = [cube]
-    for axis in collapse_order(spec, alternate_tail):
+    for axis in collapse_order(spec):
         cube = take_fiber_along(cube, axis)
         levels.append(cube)
     if case.mirrored:

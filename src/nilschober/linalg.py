@@ -132,11 +132,11 @@ def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
+        row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             if c not in pivots:
-                inv = 1 / row[c]
+                inv = ONE / row[c]
                 pivots[c] = {k: v * inv for k, v in row.items()}
                 break
             _subtract(row, row[c], pivots[c])

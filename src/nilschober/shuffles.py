@@ -20,7 +20,6 @@ from .compositions import (
     block_positions,
     psi_inv,
     refines,
-    total,
 )
 from .perms import Perm, compose, inversions, nil_product
 
@@ -49,43 +48,31 @@ def group_refinement(sigma: Composition, tau: Composition) -> list[list[int]]:
 def enumerate_shuffles(sigma: Composition, tau: Composition) -> tuple[Perm, ...]:
     """All (sigma, tau)-shuffles in lexicographic one-line order.
 
+    Each sigma-block occupies consecutive positions and takes its values
+    from its own positional range, so a shuffle is the concatenation of
+    one word per block, and the shuffles are the product of the per-block
+    word lists.  A block's words are built part by part: every partial
+    word is extended by the increasing choices of the next tau-part among
+    the values it leaves free.  Partial words of one length, each extended
+    in lexicographic order, stay in lexicographic order, and the same
+    argument orders the product, formed by extending every shuffle prefix
+    by every word of the next block.  So nothing is sorted.
+
     >>> enumerate_shuffles((3,), (1, 2))
     ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     """
     groups = group_refinement(sigma, tau)
-    tau_pos = block_positions(tau)
-    sigma_pos = block_positions(sigma)
-    n = total(sigma)
-
-    def fill(block_choices, free, parts):
-        if not parts:
-            yield block_choices
-            return
-        head, *rest = parts
-        size = len(tau_pos[head])
-        for chosen in combinations(free, size):
-            remaining = tuple(v for v in free if v not in chosen)
-            yield from fill(block_choices + [(head, chosen)], remaining, rest)
-
-    per_block: list[list[list[tuple[int, tuple[int, ...]]]]] = []
-    for i, block in enumerate(groups):
-        per_block.append(list(fill([], sigma_pos[i], block)))
-
-    out = []
-
-    def assemble(i, acc):
-        if i == len(per_block):
-            w = [0] * n
-            for part_idx, values in acc:
-                for p, v in zip(tau_pos[part_idx], values):
-                    w[p - 1] = v
-            out.append(tuple(w))
-            return
-        for choice in per_block[i]:
-            assemble(i + 1, acc + choice)
-
-    assemble(0, [])
-    return tuple(sorted(out))
+    out: list[Perm] = [()]
+    for values, parts in zip(block_positions(sigma), groups):
+        words = [((), values)]
+        for j in parts:
+            words = [
+                (word + chosen, tuple(v for v in free if v not in chosen))
+                for word, free in words
+                for chosen in combinations(free, tau[j])
+            ]
+        out = [prefix + word for prefix in out for word, _ in words]
+    return tuple(out)
 
 
 def shuffle_count(sigma: Composition, tau: Composition) -> int:

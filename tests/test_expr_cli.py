@@ -238,8 +238,8 @@ def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
 
     real = report_mod.total_fiber
 
-    def broken(pair, alternate_tail=False):
-        rep = real(pair, alternate_tail)
+    def broken(pair):
+        rep = real(pair)
         rep.verdict = "Other"
         return rep
 
@@ -257,7 +257,7 @@ def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
 def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys, error):
     import nilschober.report as report_mod
 
-    def broken(pair, alternate_tail=False):
+    def broken(pair):
         raise error("invariant violated")
 
     monkeypatch.setattr(report_mod, "total_fiber", broken)

@@ -10,6 +10,7 @@ from nilschober.compositions import (
     mirror_pair,
     refines,
 )
+import nilschober.fiber as fiber
 from nilschober.fiber import (
     FiberContainmentError,
     FiberError,
@@ -212,13 +213,28 @@ def test_exhausted_axis_rejected():
         take_fiber_along(collapsed, "layer")
 
 
-def test_alternate_tail_order_agrees():
-    for pair in [((2, 3), (2, 3)), ((2, 4), (2, 4)), ((3, 3), (3, 3)),
-                 ((2, 2), (1, 3))]:
-        a = total_fiber(pair)
-        b = total_fiber(pair, alternate_tail=True)
+def reversed_tail(order):
+    """`order` with the trailing (zeta/eta) axes collapsed in reverse."""
+
+    def alternate(cube):
+        axes = order(cube)
+        head = [a for a in axes if a == "layer" or a.startswith("eps")]
+        return head + axes[len(head):][::-1]
+
+    return alternate
+
+
+def test_alternate_tail_order_agrees(monkeypatch):
+    pairs = [((2, 3), (2, 3)), ((2, 4), (2, 4)), ((3, 3), (3, 3)),
+             ((2, 2), (1, 3))]
+    default = [total_fiber(pair) for pair in pairs]
+    monkeypatch.setattr(fiber, "collapse_order", reversed_tail(collapse_order))
+    for pair, a in zip(pairs, default):
+        b = total_fiber(pair)
         assert a.verdict == b.verdict
         assert a.residual == b.residual
+        if pair == ((2, 4), (2, 4)):  # two tail axes: the orders differ
+            assert [c.axes for c in a.levels] != [c.axes for c in b.levels]
 
 
 def test_collapse_order_shape():
@@ -226,7 +242,7 @@ def test_collapse_order_shape():
     assert collapse_order(spec) == ["layer", "eps2", "eps1", "zeta"]
     spec2 = build_bifactorization(((2, 4), (2, 4)))
     assert collapse_order(spec2) == ["layer", "eps1", "zeta", "eta1"]
-    assert collapse_order(spec2, alternate_tail=True) == [
+    assert reversed_tail(collapse_order)(spec2) == [
         "layer", "eps1", "eta1", "zeta",
     ]
 

@@ -110,6 +110,28 @@ def test_rank_of_known_rank_products():
         assert sparse_rank(_rows(m)) == r
 
 
+def _fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_int_input_gives_exact_fractions():
+    """Int entries are eliminated exactly: every result entry is a Fraction
+    equal to the one computed from the same matrix given as Fractions."""
+    for m, r in _cases(23):
+        ints = [[int(v) for v in row] for row in m]
+        cols = len(m[0])
+        assert rank(ints) == sparse_rank(_rows(ints)) == r
+        reduced, pivots = rref(ints)
+        assert (reduced, pivots) == rref(m)
+        assert _fractions(v for row in reduced for v in row)
+        basis = nullspace(ints)
+        assert basis == nullspace(m)
+        assert _fractions(v for row in basis for v in row)
+        kernel = sparse_nullspace(_rows(ints), cols)
+        assert kernel == sparse_nullspace(_rows(m), cols)
+        assert _fractions(v for row in kernel.rows for v in row.values())
+
+
 def test_sparse_mul_matches_dense():
     """Row-sparse products against the dense loop, with entries from
     {-1, 0, 1} so that sums cancel and must be dropped."""

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from nilschober.compositions import all_compositions, block_positions, refines
+from nilschober.compositions import all_compositions, blocks, refines
 from nilschober.perms import block_cross, compose, identity
 from nilschober.shuffles import (
     LevelParams,
@@ -14,7 +14,6 @@ from nilschober.shuffles import (
     crosses_at_least,
     delta_decompose,
     enumerate_shuffles,
-    group_refinement,
     mincross,
     shuffle_count,
 )
@@ -22,23 +21,45 @@ from nilschober.shuffles import (
 
 def brute_shuffles(sigma, tau):
     """Filter the whole symmetric group by the definition: each tau-block
-    maps into its sigma-block and increasingly so."""
+    is increasing and lands in the sigma-block positionally containing it.
+
+    `permutations` lists the group in lexicographic order, so the result
+    is in that order too.
+    """
     n = sum(sigma)
-    groups = group_refinement(sigma, tau)
-    tau_pos = block_positions(tau)
-    sigma_pos = block_positions(sigma)
-    out = []
-    for w in permutations(range(1, n + 1)):
-        ok = True
-        for i, group in enumerate(groups):
-            target = set(sigma_pos[i])
-            for j in group:
-                imgs = [w[p - 1] for p in tau_pos[j]]
-                if any(v not in target for v in imgs) or imgs != sorted(imgs):
-                    ok = False
-        if ok:
-            out.append(w)
-    return tuple(sorted(out))
+    checks = []
+    for lo, hi in blocks(tau):
+        (home,) = [b for b in blocks(sigma) if b[0] <= lo and hi <= b[1]]
+        checks.append((slice(lo - 1, hi), *home))
+    return tuple(
+        w
+        for w in permutations(range(1, n + 1))
+        if all(
+            list(w[s]) == sorted(w[s]) and first <= min(w[s]) and max(w[s]) <= last
+            for s, first, last in checks
+        )
+    )
+
+
+def refinement_pairs(n):
+    comps = all_compositions(n)
+    return [(s, t) for s in comps for t in comps if refines(s, t)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_matches_definition(n):
+    """Exact tuples, order included, for every sigma <= tau."""
+    for sigma, tau in refinement_pairs(n):
+        assert enumerate_shuffles(sigma, tau) == brute_shuffles(sigma, tau)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_enumerate_strictly_increasing(n):
+    """Lexicographic order and no repeats past the brute-force range."""
+    for sigma, tau in refinement_pairs(n):
+        shuffles = enumerate_shuffles(sigma, tau)
+        enumerate_shuffles.cache_clear()
+        assert all(a < b for a, b in zip(shuffles, shuffles[1:]))
 
 
 def test_enumerate_matches_brute_force():

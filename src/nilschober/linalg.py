@@ -121,25 +121,34 @@ def _subtract(row: SparseRow, f: Fraction, piv: SparseRow) -> None:
             del row[c]
 
 
+def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> int | None:
+    """Forward-reduce `row` in place against monic pivot rows, lowest column
+    first, until it vanishes (None) or its lowest column is not a pivot
+    (that column is returned)."""
+    while row:
+        c = min(row)
+        if c not in pivots:
+            return c
+        _subtract(row, row[c], pivots[c])
+    return None
+
+
 def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """Reduced row echelon form of the span of `rows`: {pivot column: monic
     row}, each row zero in every other pivot column.
 
-    The forward pass reduces each row against the existing pivots, lowest
-    column first, until it vanishes or opens a new pivot.  Back-substitution
-    then walks the pivots from the highest column down: every higher pivot
-    row is already reduced, so substituting it brings in free columns only.
+    The forward pass reduces each row against the existing pivots until it
+    vanishes or opens a new pivot (`_reduce`).  Back-substitution then walks
+    the pivots from the highest column down: every higher pivot row is
+    already reduced, so substituting it brings in free columns only.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = ONE / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
-                break
-            _subtract(row, row[c], pivots[c])
+        c = _reduce(row, pivots)
+        if c is not None:
+            inv = ONE / row[c]
+            pivots[c] = {k: v * inv for k, v in row.items()}
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for k in [k for k in row if k != c and k in pivots]:

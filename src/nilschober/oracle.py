@@ -7,8 +7,11 @@ maps as the nonzero entries of exact rational matrices obtained by honest
 module decompositions.  Total fibers are iterated kernels computed on
 row-sparse matrices, from the edge entries to the final kernel; the dense
 `realize_map` and `action_matrix` are views for tests and small checks.
-Nothing here reuses the set-difference shortcut of the diagram engine, so
-agreement between the two is evidence, not tautology.
+The Hom spaces of the adjunction check are found by spinning the domain
+module under the generator actions (`spin_hom`), so their unknowns are the
+images of a few generators rather than whole matrices.  Nothing here
+reuses the set-difference shortcut of the diagram engine, so agreement
+between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -34,10 +37,13 @@ from .cubes import (
 )
 from .fiber import collapse_order
 from .linalg import (
+    ONE,
     Entries,
     LinAlgError,
     Matrix,
     SparseMatrix,
+    SparseRow,
+    _reduce,
     from_entries,
     mat_eq,
     mat_mul,
@@ -280,23 +286,34 @@ def realized_total_fiber(pair: Pair, module=None) -> RealizedFiber:
     )
 
 
-def oracle_matches_diagram(pair: Pair, module=None) -> bool:
+def oracle_matches_diagram(
+    pair: Pair, module=None, realized: RealizedFiber | None = None, report=None
+) -> bool:
     """Criterion: matrix fiber dimension equals diagram rank x dim T at
-    every level and every index."""
+    every level and every index.
+
+    `realized` (the pair's `realized_total_fiber`, which then fixes the
+    module) and `report` (its `total_fiber`), when given, are used instead
+    of being computed again.
+    """
     from .fiber import total_fiber
 
-    if module is None:
-        module = NilCoxeterModule(pair[0])
-    realized = realized_total_fiber(pair, module)
-    report = total_fiber(pair)
+    if realized is None:
+        realized = realized_total_fiber(pair, module)
+    if report is None:
+        report = total_fiber(pair)
+    if realized.pair != pair or report.pair != pair:
+        raise OracleError(f"fibers given for another pair than {pair}")
     for cube, dims in zip(report.levels, realized.level_dims):
         for index, dset in cube.vertex_sets.items():
-            if dims[index] != len(dset) * module.dim:
+            if dims[index] != len(dset) * realized.module_dim:
                 return False
     return realized.split_surjective
 
 
-def flip_action_check(pair: Pair, report=None) -> bool:
+def flip_action_check(
+    pair: Pair, report=None, realized: RealizedFiber | None = None
+) -> bool:
     """Verify the residual kernel's module action is the flip-twisted one.
 
     The total fiber of a twist pair is spanned by functionals supported on
@@ -304,7 +321,9 @@ def flip_action_check(pair: Pair, report=None) -> bool:
     off as phi(X).psi(n) for psi the tensor flip.  Checked generator by
     generator on the nil-Coxeter module, as iota . restricted ==
     expected . iota on sparse rows.  `report`, when given, must carry a
-    FlipEquivalence verdict for the pair.
+    FlipEquivalence verdict for the pair; `realized`, when given, is the
+    pair's realized fiber on that nil-Coxeter module, used instead of being
+    computed again.
     """
     (a, b), (c, d) = pair
     if (c, d) != (b, a):
@@ -318,7 +337,13 @@ def flip_action_check(pair: Pair, report=None) -> bool:
                 f"{report.verdict}"
             )
     module = NilCoxeterModule((a, b))
-    realized = realized_total_fiber(pair, module)
+    if realized is None:
+        realized = realized_total_fiber(pair, module)
+    elif realized.pair != pair or not (
+        isinstance(realized.corner.module, NilCoxeterModule)
+        and realized.corner.module.tau == (a, b)
+    ):
+        raise OracleError(f"realized fiber is not {pair}'s on NH_{(a, b)}")
     kernel = realized.kernel
     if kernel.cols != module.dim:
         return False
@@ -383,10 +408,20 @@ def check_bicartesian(module=None) -> bool:
 def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=None) -> bool:
     """Hom_tau(Res M, N) and Hom_sigma(M, Ind N) agree under evaluation.
 
-    Both Hom spaces are computed as kernels of the exact intertwiner
-    systems over the generator actions; the canonical comparison map
-    (evaluate at the identity shuffle) must be a bijection between them.
+    Both Hom spaces are found by spinning M under the generator actions
+    (`spin_hom`); the canonical comparison map (evaluate at the identity
+    shuffle) must be a bijection between them: the two dimensions agree
+    and the comparison has full rank.
     """
+    small, big, comparison = _adjunction_ranks(sigma, tau, m_mod, n_mod)
+    return small == big == comparison
+
+
+def _adjunction_ranks(
+    sigma: Composition, tau: Composition, m_mod=None, n_mod=None
+) -> tuple[int, int, int]:
+    """dim Hom_tau(Res M, N), dim Hom_sigma(M, Ind N) and the rank of the
+    comparison map from the second to the first."""
     if not refines(sigma, tau):
         raise OracleError(f"{tau} does not refine {sigma}")
     n = total(sigma)
@@ -399,48 +434,149 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
     gens_sigma = [AlgebraElement.s_gen(n, i, sigma) for i in s_generators(sigma)]
     gens_sigma += [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
 
-    hom_small = _intertwiner_basis(
+    hom_small = spin_hom(
         [m_mod.act_entries(g) for g in gens_tau],
         [n_mod.act_entries(g) for g in gens_tau],
         m_mod.dim,
         n_mod.dim,
     )
     ind = HomSpace(sigma, tau, n_mod)
-    hom_big = _intertwiner_basis(
+    hom_big = spin_hom(
         [m_mod.act_entries(g) for g in gens_sigma],
         [ind.action_entries(g) for g in gens_sigma],
         m_mod.dim,
         ind.dim,
     )
-    if hom_small.cols != hom_big.cols:
-        return False
-    # comparison: evaluate at the identity shuffle block, whose unknowns
-    # F[r][c] (r in that block) are one run of rows of hom_big
-    row0 = ind.index[tuple(range(1, n + 1))] * n_mod.dim * m_mod.dim
-    comparison = hom_big.rows[row0 : row0 + n_mod.dim * m_mod.dim]
-    return sparse_rank(comparison) == hom_big.cols
+    # comparison: F -> the identity-shuffle block of F, read off the images
+    # F b_i of the spun basis (a basis of M), times the kernel
+    row0 = ind.index[tuple(range(1, n + 1))] * n_mod.dim
+    rows = [
+        image[r]
+        for image in hom_big.images
+        for r in range(row0, row0 + n_mod.dim)
+        if r in image
+    ]
+    kernel = hom_big.kernel
+    comparison = sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel)
+    return hom_small.kernel.cols, kernel.cols, sparse_rank(comparison.rows)
 
 
-def _intertwiner_basis(
-    dom_actions: list[Entries], cod_actions: list[Entries], dim_m: int, dim_n: int
-) -> SparseMatrix:
-    """Kernel basis of F A_g = B_g F over all generators; unknowns are the
-    entries F[r][c] flattened as r*dim_m + c.
+@dataclass
+class SpunHom:
+    """Hom(M, N) over a set of generator actions, found by spinning.
 
-    The actions come as nonzero entries, and the equation (r, c) of each
-    generator is assembled from them alone: A_g[k][c] enters every
-    equation of column c, B_g[r][k] every equation of row r.
+    `basis` holds the spun vectors b_i of M ({coordinate: value}), which
+    form a basis of M; `images` holds their images F b_i in N as
+    {row of N: row over the unknowns}; `kernel` holds the solutions, as
+    the columns of a matrix over the unknowns.  Seed k of the spin owns the
+    unknowns k*dim N ... (k+1)*dim N - 1: its image, coordinate by
+    coordinate.
     """
-    rows = []
-    for a_g, b_g in zip(dom_actions, cod_actions):
-        eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (k, c), v in a_g.items():
-            for r in range(dim_n):
-                row = eqs.setdefault((r, c), {})
-                row[r * dim_m + k] = row.get(r * dim_m + k, 0) + v
-        for (r, k), v in b_g.items():
-            for c in range(dim_m):
-                row = eqs.setdefault((r, c), {})
-                row[k * dim_m + c] = row.get(k * dim_m + c, 0) - v
-        rows.extend(eqs.values())
-    return sparse_nullspace(rows, dim_n * dim_m)
+
+    basis: list[SparseRow]
+    images: list[dict[int, SparseRow]]
+    kernel: SparseMatrix
+
+
+def spin_hom(
+    dom_actions: list[Entries], cod_actions: list[Entries], dim_m: int, dim_n: int
+) -> SpunHom:
+    """The maps F: M -> N with F A_g = B_g F for every generator g, by
+    spinning (the MeatAxe technique: Parker 1984, Holt-Rees 1994).
+
+    Standard basis vectors of M are spun under the actions A_g, and the
+    first one outside the span of all spun vectors so far opens a new seed,
+    whose image is dim N fresh unknowns; M need not be cyclic.  The span
+    is kept in echelon form, each row extended by its expression in the
+    spun basis (the columns from dim M on).  A spun vector A_g b_i that is
+    new becomes a basis vector with image B_g L_i, where L_i is the image
+    of b_i; one inside the span, A_g b_i = sum c_l b_l, gives the relation
+    B_g L_i - sum c_l L_l = 0, dim N equation rows over the unknowns.
+
+    The kernel of the relations is the Hom space: a solution fixes F on
+    the spun basis, and there every F A_g b_i = B_g F b_i holds either by
+    construction or by a relation.  There are seeds * dim N unknowns
+    instead of the dim M * dim N of the full intertwiner system.
+    """
+    a_cols = [_by_column(a) for a in dom_actions]
+    b_cols = [_by_column(b) for b in cod_actions]
+    pivots: dict[int, SparseRow] = {}
+    basis: list[SparseRow] = []
+    images: list[dict[int, SparseRow]] = []
+    equations: list[SparseRow] = []
+
+    def place(vec: SparseRow, image: dict[int, SparseRow]) -> SparseRow | None:
+        """Add vec to the spun basis if it is new (None); otherwise return
+        its relation {basis index: coefficient}, vec itself at index
+        len(basis)."""
+        row = {**vec, dim_m + len(basis): ONE}
+        c = _reduce(row, pivots)  # never None: the last column is no pivot
+        if c < dim_m:
+            inv = ONE / row[c]
+            pivots[c] = {k: v * inv for k, v in row.items()}
+            basis.append(vec)
+            images.append(image)
+            return None
+        return {t - dim_m: v for t, v in row.items()}
+
+    seeds = 0
+    for e in range(dim_m):
+        if len(basis) == dim_m:
+            break
+        i = len(basis)
+        seed_image = {r: {seeds * dim_n + r: ONE} for r in range(dim_n)}
+        if place({e: ONE}, seed_image) is not None:
+            continue
+        seeds += 1
+        while i < len(basis):
+            for a, b in zip(a_cols, b_cols):
+                vec: SparseRow = {}
+                for c, v in basis[i].items():
+                    _accumulate(vec, v, a.get(c, {}))
+                image = _times(b, images[i])
+                relation = place({k: v for k, v in vec.items() if v}, image)
+                if relation is None:
+                    continue
+                lhs: dict[int, SparseRow] = {}
+                for t, v in relation.items():
+                    for r, row in (image if t == len(basis) else images[t]).items():
+                        _accumulate(lhs.setdefault(r, {}), v, row)
+                equations.extend(_nonzero_rows(lhs).values())
+            i += 1
+    return SpunHom(basis, images, sparse_nullspace(equations, seeds * dim_n))
+
+
+def _by_column(entries: Entries) -> dict[int, SparseRow]:
+    cols: dict[int, SparseRow] = {}
+    for (r, c), v in entries.items():
+        cols.setdefault(c, {})[r] = v
+    return cols
+
+
+def _times(cols: dict[int, SparseRow], rows: dict[int, SparseRow]) -> dict[int, SparseRow]:
+    """The product of a matrix given by its columns and one given by its
+    nonzero rows, as nonzero rows."""
+    out: dict[int, SparseRow] = {}
+    for k, row in rows.items():
+        for r, f in cols.get(k, {}).items():
+            _accumulate(out.setdefault(r, {}), f, row)
+    return _nonzero_rows(out)
+
+
+def _accumulate(acc: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """acc += f * row in place; entries that cancel stay, as zeros."""
+    if f == 1:
+        for k, x in row.items():
+            acc[k] = acc[k] + x if k in acc else x
+    else:
+        for k, x in row.items():
+            acc[k] = acc[k] + f * x if k in acc else f * x
+
+
+def _nonzero_rows(rows: dict[int, SparseRow]) -> dict[int, SparseRow]:
+    out = {}
+    for r, row in rows.items():
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            out[r] = row
+    return out

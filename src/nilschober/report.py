@@ -120,10 +120,12 @@ def _pair_entry(
     global_failures: list[str],
     max_oracle: int,
 ) -> tuple[dict[str, Any], list[str]]:
-    from .oracle import flip_action_check, oracle_matches_diagram
+    from .oracle import flip_action_check, oracle_matches_diagram, realized_total_fiber
 
     n_total = sum(pair[0])
     report: FiberReport = total_fiber(pair)
+    # one realized fiber serves both the flip check and the oracle
+    realized = realized_total_fiber(pair) if n_total <= max_oracle else None
     failures: list[str] = list(global_failures)
     twist_ok = True
     defect_ok = True
@@ -138,7 +140,7 @@ def _pair_entry(
                 f"{report.verdict} {report.residual}"
             )
         if twist_ok and n_total <= max_oracle:
-            if not flip_action_check(pair, report):
+            if not flip_action_check(pair, report, realized):
                 twist_ok = False
                 failures.append("flip action check fails on the nil-Coxeter module")
     else:
@@ -148,7 +150,7 @@ def _pair_entry(
                 f"expected Vanishes, got {report.verdict} {report.residual}"
             )
     if n_total <= max_oracle:
-        if not oracle_matches_diagram(pair):
+        if not oracle_matches_diagram(pair, realized=realized, report=report):
             failures.append("matrix oracle disagrees with the diagram model")
             if is_twist_pair(pair):
                 twist_ok = False

@@ -1,5 +1,6 @@
 """The exact-matrix oracle: realized edges, kernels, adjunctions."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -25,13 +26,14 @@ from nilschober.linalg import (
     rank,
     solve_matrix,
     sparse_nullspace,
+    sparse_rank,
     zeros,
 )
 from nilschober.oracle import (
     HomSpace,
     OracleError,
     RealizedVertex,
-    _intertwiner_basis,
+    _adjunction_ranks,
     check_adjunction,
     check_bicartesian,
     flip_action_check,
@@ -40,9 +42,10 @@ from nilschober.oracle import (
     realize_entries,
     realize_map,
     realized_total_fiber,
+    spin_hom,
 )
 from nilschober.perms import compose
-from nilschober.report import two_part_pairs
+from nilschober.report import build_report, to_json, two_part_pairs
 
 
 def test_realized_edge_nh3_is_restriction():
@@ -182,6 +185,41 @@ def test_flip_action_negative_control(monkeypatch):
     assert not flip_action_check(((1, 3), (3, 1)))
 
 
+def test_report_realizes_each_pair_once(monkeypatch):
+    """build_report hands one realized fiber per pair to both the flip
+    check and the oracle comparison; the JSON keeps the digest it had when
+    each check realized the fiber on its own."""
+    calls = []
+    real = oracle.realized_total_fiber
+
+    def counted(pair, module=None):
+        calls.append(pair)
+        return real(pair, module)
+
+    monkeypatch.setattr(oracle, "realized_total_fiber", counted)
+    doc = to_json(build_report(4))
+    assert sorted(calls) == sorted(two_part_pairs(4))
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "677810e3cf2ca1e56db5bd2f5307ef171f573ef24828b293717ca36049bd0e64"
+    )
+
+
+def test_fiber_arguments_are_checked():
+    """Fibers given for another pair, or a realized fiber on another
+    module, are refused rather than compared."""
+    twist, other = ((1, 2), (2, 1)), ((1, 2), (1, 2))
+    realized = realized_total_fiber(twist)
+    assert oracle_matches_diagram(twist, realized=realized, report=total_fiber(twist))
+    assert flip_action_check(twist, total_fiber(twist), realized)
+    with pytest.raises(OracleError):
+        oracle_matches_diagram(other, realized=realized)
+    with pytest.raises(OracleError):
+        oracle_matches_diagram(twist, realized=realized, report=total_fiber(other))
+    truncated = realized_total_fiber(twist, TruncatedPolyModule((1, 2)))
+    with pytest.raises(OracleError):
+        flip_action_check(twist, realized=truncated)
+
+
 def test_adjunction_examples():
     assert check_adjunction((2,), (1, 1))
     assert check_adjunction((3,), (3,))  # sigma = tau: literally equal sides
@@ -191,8 +229,45 @@ def test_adjunction_examples():
 
 
 def test_adjunction_single_block_five_strands():
-    """sigma = (5,): the largest intertwiner system, 14,400 unknowns."""
+    """sigma = (5,): M is cyclic, so spinning leaves 120 unknowns for
+    Hom(M, Ind N), where the full intertwiner system has 14,400."""
     assert check_adjunction((5,), (2, 3))
+
+
+def test_adjunction_can_fail(monkeypatch):
+    """One broken input per failure branch of check_adjunction at
+    ((3,), (1, 2)), where both Hom spaces have dimension 6."""
+    assert _adjunction_ranks((3,), (1, 2)) == (6, 6, 6)
+    identity = (1, 2, 3)
+
+    # the identity shuffle's block swapped with the last shuffle's: Ind N
+    # is no longer the induced module, and the dimensions differ
+    real_init = HomSpace.__init__
+
+    def swapped_index(self, outer, inner, module):
+        real_init(self, outer, inner, module)
+        last = self.shuffles[-1]
+        self.index[identity], self.index[last] = self.index[last], self.index[identity]
+
+    with monkeypatch.context() as m:
+        m.setattr(HomSpace, "__init__", swapped_index)
+        small, big, _ = _adjunction_ranks((3,), (1, 2))
+        assert (small, big) == (6, 1)
+        assert not check_adjunction((3,), (1, 2))
+
+    # s_1 acting by zero on Ind N: the dimensions agree, but evaluation at
+    # the identity shuffle is no longer injective
+    real_entries = HomSpace.action_entries
+
+    def no_s1(self, g):
+        if g == AlgebraElement.s_gen(3, 1, self.outer):
+            return {}
+        return real_entries(self, g)
+
+    monkeypatch.setattr(HomSpace, "action_entries", no_s1)
+    small, big, comparison = _adjunction_ranks((3,), (1, 2))
+    assert small == big == 6 and comparison < 6
+    assert not check_adjunction((3,), (1, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -285,37 +360,175 @@ def _dense_intertwiner_basis(dom, cod, dim_m, dim_n):
     return sparse_nullspace(rows, dim_n * dim_m)
 
 
+def _intertwiner_basis(dom_actions, cod_actions, dim_m, dim_n):
+    """Reference: the full intertwiner system F A_g = B_g F over all
+    generators, with the entries F[r][c] as unknowns (flattened as
+    r*dim_m + c), assembled from nonzero action entries: A_g[k][c] enters
+    every equation of column c, B_g[r][k] every equation of row r."""
+    rows = []
+    for a_g, b_g in zip(dom_actions, cod_actions):
+        eqs = {}
+        for (k, c), v in a_g.items():
+            for r in range(dim_n):
+                row = eqs.setdefault((r, c), {})
+                row[r * dim_m + k] = row.get(r * dim_m + k, 0) + v
+        for (r, k), v in b_g.items():
+            for c in range(dim_m):
+                row = eqs.setdefault((r, c), {})
+                row[k * dim_m + c] = row.get(k * dim_m + c, 0) - v
+        rows.extend(eqs.values())
+    return sparse_nullspace(rows, dim_n * dim_m)
+
+
+def _generators(n, comp):
+    gens = [AlgebraElement.s_gen(n, i, comp) for i in s_generators(comp)]
+    return gens + [AlgebraElement.x_gen(n, i, comp) for i in range(1, n + 1)]
+
+
+def _adjunction_systems(sigma, tau, m_mod, n_mod):
+    """The two intertwiner systems of check_adjunction, as (generators,
+    domain module, codomain action object, codomain dimension): over NH_tau
+    into N, and over NH_sigma into Ind N."""
+    n = sum(sigma)
+    ind = HomSpace(sigma, tau, n_mod)
+    return ind, [
+        (_generators(n, tau), n_mod.act_entries, n_mod.act_matrix, n_mod.dim),
+        (_generators(n, sigma), ind.action_entries, ind.action_matrix, ind.dim),
+    ]
+
+
+def _full_adjunction_ranks(sigma, tau, m_mod, n_mod):
+    """Reference for _adjunction_ranks from the full intertwiner systems:
+    the comparison ranks the identity-shuffle rows of the kernel of the
+    second."""
+    ind, systems = _adjunction_systems(sigma, tau, m_mod, n_mod)
+    small, big = (
+        _intertwiner_basis(
+            [m_mod.act_entries(g) for g in gens],
+            [cod(g) for g in gens],
+            m_mod.dim,
+            dim_n,
+        )
+        for gens, cod, _, dim_n in systems
+    )
+    block = n_mod.dim * m_mod.dim
+    row0 = ind.index[tuple(range(1, sum(sigma) + 1))] * block
+    return small.cols, big.cols, sparse_rank(big.rows[row0 : row0 + block])
+
+
 def test_intertwiner_basis_from_entries_matches_dense_rows():
-    """Both intertwiner systems of check_adjunction, for every refinement
-    with n <= 4: the basis built from sparse entries equals the one built
-    from dense rows, and every basis vector intertwines."""
+    """The reference full system, for both Hom spaces of check_adjunction
+    and every refinement with n <= 4: the basis built from sparse entries
+    equals the one built from dense rows."""
     for n, sigma, tau in _refinements(4):
         m_mod, n_mod = NilCoxeterModule(sigma), NilCoxeterModule(tau)
-        ind = HomSpace(sigma, tau, n_mod)
-        gens_tau = [AlgebraElement.s_gen(n, i, tau) for i in s_generators(tau)]
-        gens_tau += [AlgebraElement.x_gen(n, i, tau) for i in range(1, n + 1)]
-        gens_sigma = [AlgebraElement.s_gen(n, i, sigma) for i in s_generators(sigma)]
-        gens_sigma += [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
-        systems = [
-            (gens_tau, m_mod.act_entries, m_mod.act_matrix,
-             n_mod.act_entries, n_mod.act_matrix, n_mod.dim),
-            (gens_sigma, m_mod.act_entries, m_mod.act_matrix,
-             ind.action_entries, ind.action_matrix, ind.dim),
-        ]
-        for gens, dom_e, dom_m, cod_e, cod_m, dim_n in systems:
-            dim_m = m_mod.dim
-            dom = [dom_m(g) for g in gens]
-            cod = [cod_m(g) for g in gens]
+        _, systems = _adjunction_systems(sigma, tau, m_mod, n_mod)
+        for gens, cod_e, cod_m, dim_n in systems:
             basis = _intertwiner_basis(
-                [dom_e(g) for g in gens], [cod_e(g) for g in gens], dim_m, dim_n
+                [m_mod.act_entries(g) for g in gens],
+                [cod_e(g) for g in gens],
+                m_mod.dim,
+                dim_n,
             )
-            assert basis == _dense_intertwiner_basis(dom, cod, dim_m, dim_n)
-            dense = basis.dense()
-            assert len(dense) == dim_n * dim_m
-            for k in range(basis.cols):
-                f = [[dense[r * dim_m + c][k] for c in range(dim_m)] for r in range(dim_n)]
+            dense = _dense_intertwiner_basis(
+                [m_mod.act_matrix(g) for g in gens],
+                [cod_m(g) for g in gens],
+                m_mod.dim,
+                dim_n,
+            )
+            assert basis == dense, (sigma, tau)
+
+
+def _nil_coxeter_cases(refinements):
+    for sigma, tau in refinements:
+        yield sigma, tau, NilCoxeterModule(sigma), NilCoxeterModule(tau)
+
+
+def _five_strand_refinements():
+    for _, sigma, tau in _refinements(5):
+        if sum(sigma) == 5 and sigma != (5,):
+            yield sigma, tau
+    yield (5,), (2, 3)
+
+
+def _truncated_cases():
+    for _, sigma, tau in _refinements(3):
+        yield sigma, tau, TruncatedPolyModule(sigma), TruncatedPolyModule(tau)
+
+
+@pytest.mark.parametrize(
+    "cases, verdicts",
+    [
+        pytest.param(
+            lambda: _nil_coxeter_cases((s, t) for _, s, t in _refinements(4)),
+            {True},
+            id="nil-coxeter-n<=4",
+        ),
+        pytest.param(
+            lambda: _nil_coxeter_cases(_five_strand_refinements()),
+            {True},
+            id="nil-coxeter-n5",
+        ),
+        pytest.param(_truncated_cases, {True, False}, id="truncated-n<=3"),
+    ],
+)
+def test_spin_matches_full_system(cases, verdicts):
+    """Spinning gives the kernel dimensions and the comparison rank of the
+    full intertwiner systems, hence the same verdict.  On the truncated
+    modules some verdicts are False, (2,), (1, 1) among them, and those
+    agree too."""
+    seen = {}
+    for sigma, tau, m_mod, n_mod in cases():
+        spun = _adjunction_ranks(sigma, tau, m_mod, n_mod)
+        assert spun == _full_adjunction_ranks(sigma, tau, m_mod, n_mod), (sigma, tau)
+        seen[sigma, tau] = check_adjunction(sigma, tau, m_mod, n_mod)
+        assert seen[sigma, tau] == (spun[0] == spun[1] == spun[2])
+    assert set(seen.values()) == verdicts
+    if False in verdicts:
+        assert not seen[(2,), (1, 1)]
+
+
+def _expand(spun, dim_m, dim_n, column):
+    """The full map F (dim_n x dim_m) of one kernel column: F b_i is the
+    image L_i at that solution, and the spun basis b_i spans M, so F is
+    the solution of F B = Y, that is B^T F^T = Y^T."""
+    x = {u: row[column] for u, row in enumerate(spun.kernel.rows) if column in row}
+    y_t = [
+        [sum((v * x[u] for u, v in image.get(r, {}).items() if u in x), Fraction(0))
+         for r in range(dim_n)]
+        for image in spun.images
+    ]
+    b_t = [[b.get(c, Fraction(0)) for c in range(dim_m)] for b in spun.basis]
+    f_t = solve_matrix(b_t, y_t)
+    return [list(col) for col in zip(*f_t)]
+
+
+@pytest.mark.parametrize(
+    "module, max_n", [(NilCoxeterModule, 4), (TruncatedPolyModule, 2)]
+)
+def test_spun_hom_intertwines(module, max_n):
+    """Every kernel vector of a spun system, expanded to a full F, satisfies
+    F A_g = B_g F for every generator; the spun basis is a basis of M."""
+    for n, sigma, tau in _refinements(max_n):
+        m_mod, n_mod = module(sigma), module(tau)
+        _, systems = _adjunction_systems(sigma, tau, m_mod, n_mod)
+        for gens, cod_e, cod_m, dim_n in systems:
+            spun = spin_hom(
+                [m_mod.act_entries(g) for g in gens],
+                [cod_e(g) for g in gens],
+                m_mod.dim,
+                dim_n,
+            )
+            assert len(spun.basis) == m_mod.dim
+            assert rank(
+                [[b.get(c, 0) for c in range(m_mod.dim)] for b in spun.basis]
+            ) == m_mod.dim
+            dom = [m_mod.act_matrix(g) for g in gens]
+            cod = [cod_m(g) for g in gens]
+            for k in range(spun.kernel.cols):
+                f = _expand(spun, m_mod.dim, dim_n, k)
                 for a_g, b_g in zip(dom, cod):
-                    assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f))
+                    assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f)), (sigma, tau, k)
 
 
 def _dense_realized_fiber(pair, module):

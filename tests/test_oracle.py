@@ -504,7 +504,7 @@ def _expand(spun, dim_m, dim_n, column):
 
 
 @pytest.mark.parametrize(
-    "module, max_n", [(NilCoxeterModule, 4), (TruncatedPolyModule, 2)]
+    "module, max_n", [(NilCoxeterModule, 3), (TruncatedPolyModule, 2)]
 )
 def test_spun_hom_intertwines(module, max_n):
     """Every kernel vector of a spun system, expanded to a full F, satisfies

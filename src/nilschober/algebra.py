@@ -39,6 +39,7 @@ from .perms import (
     left_descent,
     nil_product,
 )
+from .shuffles import enumerate_shuffles
 
 
 class HPoly:
@@ -332,13 +333,11 @@ def normal_form(
     word: list[GeneratorToken] | tuple[GeneratorToken, ...],
     n: int,
     block: Composition | None = None,
-    strategy: str = "left",
 ) -> AlgebraElement:
     """Reduce a generator word to its normal form.
 
-    The word [t1, ..., tq] stands for the product t1 * t2 * ... * tq.
-    `strategy` picks the fold direction ("left" or "right"); both must
-    agree, which the test suite checks rather than assumes.
+    The word [t1, ..., tq] stands for the product t1 * t2 * ... * tq,
+    folded from the left.
 
     >>> from nilschober.expr import format_element
     >>> format_element(normal_form([("s", 1), ("x", 1)], 2))
@@ -361,17 +360,10 @@ def normal_form(
     factors = [tok(t) for t in word]
     if not factors:
         return AlgebraElement.unit(n, block)
-    if strategy == "left":
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc * f
-        return acc
-    if strategy == "right":
-        acc = factors[-1]
-        for f in reversed(factors[:-1]):
-            acc = f * acc
-        return acc
-    raise AlgebraError(f"unknown reduction strategy {strategy!r}")
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc * f
+    return acc
 
 
 def parabolic_decompose(w: Perm, tau: Composition) -> tuple[Perm, Perm]:
@@ -462,23 +454,9 @@ def mirror_iso(x: AlgebraElement) -> AlgebraElement:
 
 
 def block_perms(tau: Composition) -> list[Perm]:
-    """All permutations preserving the blocks of tau, in lex order."""
-    from itertools import permutations as _aperm
-    from itertools import product as _prod
-
-    n = total(tau)
-    per_block = [
-        [dict(zip(positions, img)) for img in _aperm(positions)]
-        for positions in block_positions(tau)
-    ]
-    out = []
-    for choice in _prod(*per_block):
-        w = [0] * n
-        for mapping in choice:
-            for p, v in mapping.items():
-                w[p - 1] = v
-        out.append(tuple(w))
-    return sorted(out)
+    """All permutations preserving the blocks of tau, in lex order: the
+    (tau, singletons)-shuffles."""
+    return list(enumerate_shuffles(tau, (1,) * total(tau)))
 
 
 def s_generators(tau: Composition) -> list[int]:
@@ -540,25 +518,24 @@ class NilCoxeterModule:
 
 
 class TruncatedPolyModule:
-    """NH_tau truncated at dot degree < dot_bound and h-degree < h_bound,
+    """NH_tau truncated at dot degree < DOT_BOUND and h-degree < H_BOUND,
     as a right NH_tau-module.  Spot-check companion to the nil-Coxeter
     quotient: the h-corrections act nontrivially here.
     """
 
-    def __init__(self, tau: Composition, dot_bound: int = 2, h_bound: int = 2):
+    DOT_BOUND = 2
+    H_BOUND = 2
+
+    def __init__(self, tau: Composition):
         self.tau = tau
         self.n = total(tau)
-        self.dot_bound = dot_bound
-        self.h_bound = h_bound
-        dot_vectors = [
-            dots
-            for dots in _dot_vectors(self.n, dot_bound - 1)
-        ]
+        dot_vectors = _dot_vectors(self.n, self.DOT_BOUND - 1)
+        perms = block_perms(tau)
         self.basis = [
             (e, dots, w)
-            for e in range(h_bound)
+            for e in range(self.H_BOUND)
             for dots in dot_vectors
-            for w in block_perms(tau)
+            for w in perms
         ]
         self.index = {b: i for i, b in enumerate(self.basis)}
 
@@ -577,10 +554,10 @@ class TruncatedPolyModule:
             elem = AlgebraElement(self.n, self.tau, {(dots, w): HPoly.h(e)})
             prod = elem * x
             for (pdots, pw), hp in prod.terms.items():
-                if sum(pdots) >= self.dot_bound:
+                if sum(pdots) >= self.DOT_BOUND:
                     continue
                 for exp, coeff in hp.coeffs.items():
-                    if exp >= self.h_bound:
+                    if exp >= self.H_BOUND:
                         continue
                     out[(self.index[(exp, pdots, pw)], c)] = coeff
         return out

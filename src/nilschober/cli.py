@@ -4,8 +4,10 @@ Command-line front end.
 Subcommands: `check` (axiom sweeps with JSON reports), `eval` (normal forms
 of algebra expressions), `shuffles` (count or list), `render` (SVG diagram
 sets), `oracle` (worked NH_3 example).  Exit codes: 0 all checks pass,
-1 axiom failure, 2 usage error, 3 internal error (a cube, fiber, oracle or
-linear-algebra invariant failed: a bug, not bad input).
+1 axiom failure, 2 usage error (a ValueError from parsing or from the
+input itself), 3 internal error (a cube, fiber, oracle or linear-algebra
+invariant failed, or some other exception escaped: a bug, not bad input).
+Once `check`'s arguments have parsed, every exception exits 3.
 """
 
 from __future__ import annotations
@@ -16,16 +18,23 @@ from pathlib import Path
 
 from .compositions import CompositionError, Pair, parse_composition
 from .cubes import CubeError
-from .expr import ExprError, eval_string, format_element
+from .expr import eval_string, format_element
 from .fiber import FiberError
 from .linalg import LinAlgError
 from .oracle import OracleError
-from .report import ReportError, build_report, report_ok, to_json
-from .shuffles import ShuffleError, enumerate_shuffles
+from .report import build_report, report_ok, to_json, two_part_pairs
+from .shuffles import enumerate_shuffles
 
 AXIOM_FAILURE = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+PROG = "nilschober"
+
+
+def internal_error(exc: Exception) -> int:
+    what = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+    print(f"{PROG}: internal error: {what}", file=sys.stderr)
+    return INTERNAL_ERROR
 
 
 def parse_pair(text: str) -> Pair:
@@ -49,6 +58,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return USAGE_ERROR
     pair = parse_pair(args.pair) if args.pair else None
+    if pair is not None and pair not in two_part_pairs(args.n):
+        raise CompositionError(f"pair {pair} is not a pair for n={args.n}")
+    try:
+        return _run_check(args, pair)
+    except Exception as exc:  # the arguments parsed, so this is a bug
+        return internal_error(exc)
+
+
+def _run_check(args: argparse.Namespace, pair: Pair | None) -> int:
     doc = build_report(
         args.n,
         pair_filter=pair,
@@ -117,7 +135,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nilschober",
+        prog=PROG,
         description="exact NilHecke strand-diagram engine and schober checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -177,11 +195,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CubeError, FiberError, OracleError, LinAlgError) as exc:
-        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
-    except (CompositionError, ShuffleError, ExprError, ReportError, ValueError) as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return internal_error(exc)
+    except ValueError as exc:
+        # bad input: compositions, pairs, shuffles, expressions, levels
+        print(f"{PROG}: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        return internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -118,10 +118,6 @@ def parse_composition(text: str) -> Composition:
     return parts
 
 
-def format_composition(sigma: Composition) -> str:
-    return ",".join(str(p) for p in sigma)
-
-
 Pair = tuple[Composition, Composition]
 
 # tags of the a >= c case table; Mirror* are the a < c cases, obtained by

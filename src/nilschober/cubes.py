@@ -213,10 +213,6 @@ def vertex_rank_from_word(word: FunctorWord) -> int:
     return rank
 
 
-def vertex_rank(v: BCVertex) -> int:
-    return vertex_rank_from_word(v.word)
-
-
 def word_products(word: FunctorWord) -> tuple[Perm, ...]:
     """The composed shuffle diagrams spanning the vertex.
 

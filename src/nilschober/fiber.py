@@ -67,9 +67,6 @@ class IntermediateCube:
     def level(self) -> int:
         return len(self.axes)
 
-    def rank(self, index: Index) -> int:
-        return len(self.codes[index])
-
     @cached_property
     def vertex_sets(self) -> dict[Index, DiagramSet]:
         """Every vertex's diagrams as sorted one-line permutations."""
@@ -146,7 +143,6 @@ class FiberReport:
     levels: list[IntermediateCube]
     verdict: str  # "Vanishes" | "FlipEquivalence" | "Other"
     residual: DiagramSet
-    flip_blocks: tuple[int, int] | None
 
     def level_table(self) -> list[tuple[int, list[tuple[Index, int]]]]:
         out = []
@@ -182,16 +178,12 @@ def total_fiber(pair: Pair) -> FiberReport:
     if case.mirrored:
         levels = [replace(c, pair=pair, mirrored=True) for c in levels]
     residual = levels[-1].vertex_sets[()]
-    a, b = pair[0]
     if not residual:
         verdict = "Vanishes"
-        flip = None
-    elif residual == (block_cross(a, b),):
+    elif residual == (block_cross(*pair[0]),):
         verdict = "FlipEquivalence"
-        flip = (a, b)
     else:
         verdict = "Other"
-        flip = None
     return FiberReport(
         pair=pair,
         case=case,
@@ -199,7 +191,6 @@ def total_fiber(pair: Pair) -> FiberReport:
         levels=levels,
         verdict=verdict,
         residual=residual,
-        flip_blocks=flip,
     )
 
 

@@ -305,8 +305,8 @@ def oracle_matches_diagram(
     if realized.pair != pair or report.pair != pair:
         raise OracleError(f"fibers given for another pair than {pair}")
     for cube, dims in zip(report.levels, realized.level_dims):
-        for index, dset in cube.vertex_sets.items():
-            if dims[index] != len(dset) * realized.module_dim:
+        for index, codes in cube.codes.items():
+            if dims[index] != len(codes) * realized.module_dim:
                 return False
     return realized.split_surjective
 

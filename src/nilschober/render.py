@@ -3,112 +3,92 @@ SVG rendering of shuffle diagrams in the style of box-and-strand figures.
 
 Each diagram shows the source composition's boxes along the bottom, the
 target composition's boxes along the top and straight strands between slot
-anchors, captioned with the one-line permutation.  Layout constants live in
-one configuration record; output is deterministic byte for byte.
+anchors, captioned with the one-line permutation.  Output is deterministic
+byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .compositions import Composition, Pair, blocks, total
-from .fiber import FiberReport, total_fiber
+from .fiber import total_fiber
 from .perms import Perm
 
-
-@dataclass(frozen=True)
-class SvgConfig:
-    slot_width: int = 26
-    box_height: int = 16
-    strand_height: int = 64
-    box_gap: int = 6
-    margin: int = 12
-    caption_height: int = 18
-    diagram_gap: int = 20
-    font_size: int = 11
-    stroke: str = "#1a1a1a"
-    box_fill: str = "#f2f2f2"
+SLOT_WIDTH = 26
+BOX_HEIGHT = 16
+STRAND_HEIGHT = 64
+BOX_GAP = 6
+MARGIN = 12
+CAPTION_HEIGHT = 18
+DIAGRAM_GAP = 20
+FONT_SIZE = 11
+STROKE = "#1a1a1a"
+BOX_FILL = "#f2f2f2"
 
 
-DEFAULT_CONFIG = SvgConfig()
+def _slot_x(slot: int) -> float:
+    return MARGIN + (slot - 0.5) * SLOT_WIDTH
 
 
-def _slot_x(slot: int, cfg: SvgConfig) -> float:
-    return cfg.margin + (slot - 0.5) * cfg.slot_width
-
-
-def _boxes_svg(comp: Composition, y: float, x0: float, cfg: SvgConfig) -> list[str]:
+def _boxes_svg(comp: Composition, y: float, x0: float) -> list[str]:
     out = []
     for lo, hi in blocks(comp):
-        left = x0 + (lo - 1) * cfg.slot_width + cfg.box_gap / 2
-        width = (hi - lo + 1) * cfg.slot_width - cfg.box_gap
+        left = x0 + (lo - 1) * SLOT_WIDTH + BOX_GAP / 2
+        width = (hi - lo + 1) * SLOT_WIDTH - BOX_GAP
         out.append(
             f'<rect x="{left:.1f}" y="{y:.1f}" width="{width:.1f}" '
-            f'height="{cfg.box_height}" fill="{cfg.box_fill}" '
-            f'stroke="{cfg.stroke}"/>'
+            f'height="{BOX_HEIGHT}" fill="{BOX_FILL}" '
+            f'stroke="{STROKE}"/>'
         )
     return out
 
 
 def diagram_svg(
-    w: Perm,
-    source: Composition,
-    target: Composition,
-    x0: float = 0.0,
-    cfg: SvgConfig = DEFAULT_CONFIG,
+    w: Perm, source: Composition, target: Composition, x0: float = 0.0
 ) -> list[str]:
     """SVG fragments for one permutation between composition boxes."""
     n = len(w)
-    top_y = cfg.margin
-    strand_top = top_y + cfg.box_height
-    strand_bot = strand_top + cfg.strand_height
-    caption_y = strand_bot + cfg.box_height + cfg.caption_height
-    out = _boxes_svg(target, top_y, x0, cfg)
-    out += _boxes_svg(source, strand_bot, x0, cfg)
+    top_y = MARGIN
+    strand_top = top_y + BOX_HEIGHT
+    strand_bot = strand_top + STRAND_HEIGHT
+    caption_y = strand_bot + BOX_HEIGHT + CAPTION_HEIGHT
+    out = _boxes_svg(target, top_y, x0)
+    out += _boxes_svg(source, strand_bot, x0)
     for p in range(1, n + 1):
-        x_from = x0 + _slot_x(p, cfg) - cfg.margin
-        x_to = x0 + _slot_x(w[p - 1], cfg) - cfg.margin
+        x_from = x0 + _slot_x(p) - MARGIN
+        x_to = x0 + _slot_x(w[p - 1]) - MARGIN
         out.append(
             f'<line x1="{x_from:.1f}" y1="{strand_bot:.1f}" '
             f'x2="{x_to:.1f}" y2="{strand_top:.1f}" '
-            f'stroke="{cfg.stroke}"/>'
+            f'stroke="{STROKE}"/>'
         )
     caption = ",".join(str(v) for v in w)
-    mid = x0 + (n * cfg.slot_width) / 2
+    mid = x0 + (n * SLOT_WIDTH) / 2
     out.append(
-        f'<text x="{mid:.1f}" y="{caption_y:.1f}" font-size="{cfg.font_size}" '
+        f'<text x="{mid:.1f}" y="{caption_y:.1f}" font-size="{FONT_SIZE}" '
         f'text-anchor="middle" font-family="monospace">{caption}</text>'
     )
     return out
 
 
 def vertex_svg(
-    diagrams: tuple[Perm, ...],
-    source: Composition,
-    target: Composition,
-    cfg: SvgConfig = DEFAULT_CONFIG,
+    diagrams: tuple[Perm, ...], source: Composition, target: Composition
 ) -> str:
     """One SVG document holding every diagram of a vertex, side by side."""
     n = total(source)
-    width_each = n * cfg.slot_width
+    width_each = n * SLOT_WIDTH
     count = max(len(diagrams), 1)
-    width = cfg.margin * 2 + count * width_each + (count - 1) * cfg.diagram_gap
-    height = (
-        cfg.margin * 2
-        + 2 * cfg.box_height
-        + cfg.strand_height
-        + cfg.caption_height
-        + cfg.margin
-    )
+    width = MARGIN * 2 + count * width_each + (count - 1) * DIAGRAM_GAP
+    height = MARGIN * 3 + 2 * BOX_HEIGHT + STRAND_HEIGHT + CAPTION_HEIGHT
     body: list[str] = []
     for k, w in enumerate(diagrams):
-        x0 = cfg.margin + k * (width_each + cfg.diagram_gap)
-        body += diagram_svg(w, source, target, x0, cfg)
+        x0 = MARGIN + k * (width_each + DIAGRAM_GAP)
+        body += diagram_svg(w, source, target, x0)
     if not diagrams:
         body.append(
             f'<text x="{width / 2:.1f}" y="{height / 2:.1f}" '
-            f'font-size="{cfg.font_size}" text-anchor="middle" '
+            f'font-size="{FONT_SIZE}" text-anchor="middle" '
             f'font-family="monospace">(empty)</text>'
         )
     joined = "\n".join(body)
@@ -119,20 +99,13 @@ def vertex_svg(
     )
 
 
-def render_level(
-    pair: Pair,
-    level: int,
-    out_dir: str | Path,
-    cfg: SvgConfig = DEFAULT_CONFIG,
-    report: FiberReport | None = None,
-) -> list[Path]:
+def render_level(pair: Pair, level: int, out_dir: str | Path) -> list[Path]:
     """Write one SVG per vertex of the intermediate cube at `level`.
 
     Files are named B{level}_{bits}.svg; the final single vertex gets
     B0.svg.  Returns the written paths.
     """
-    if report is None:
-        report = total_fiber(pair)
+    report = total_fiber(pair)
     cube = next((c for c in report.levels if c.level == level), None)
     if cube is None:
         lo, hi = 0, report.levels[0].level
@@ -146,7 +119,7 @@ def render_level(
         name = f"B{level}_{bits}.svg" if bits else f"B{level}.svg"
         path = out / name
         path.write_text(
-            vertex_svg(cube.vertex_sets[index], source, target, cfg),
+            vertex_svg(cube.vertex_sets[index], source, target),
             encoding="utf-8",
         )
         written.append(path)

@@ -285,13 +285,15 @@ def validate_report(doc: dict[str, Any]) -> None:
         _require(isinstance(tables, list) and tables, "bad level tables")
         for table in tables:
             _require(
-                isinstance(table.get("level"), int)
+                isinstance(table, dict)
+                and isinstance(table.get("level"), int)
                 and isinstance(table.get("entries"), list),
                 "bad level table",
             )
             for cell in table["entries"]:
                 _require(
-                    isinstance(cell.get("index_bits"), list)
+                    isinstance(cell, dict)
+                    and isinstance(cell.get("index_bits"), list)
                     and len(cell["index_bits"]) == table["level"]
                     and all(b in (0, 1) for b in cell["index_bits"])
                     and isinstance(cell.get("rank"), int)

@@ -140,12 +140,6 @@ class LevelParams:
         head = self.head()
         return head[:-1] + (head[-1] + self.level,)
 
-    def tau_prime(self) -> Composition:
-        if self.terminal:
-            raise ShuffleError("no primed sets at the terminal level")
-        head = self.head()
-        return head + (self.level,) if self.level else head
-
     def _assemble(self, middle: tuple[int, ...]) -> Composition:
         """head[:-1], the given middle parts, the mirrored head, then the
         beta_c-dependent tail: last part + m, or a separate part m."""

@@ -12,7 +12,6 @@ from nilschober.cubes import (
     bc_vertex,
     build_bifactorization,
     edge_checks,
-    vertex_rank,
     vertex_rank_from_word,
     word_factorizations,
     word_products,
@@ -129,7 +128,7 @@ def test_boundary_rows(n):
                 v = bc_vertex(cube, beta, layer)
                 assert v.word.rows[0] == pair[0]
                 assert v.word.rows[-1] == pair[1]
-                assert vertex_rank(v) == v.rank == len(v.products)
+                assert vertex_rank_from_word(v.word) == v.rank == len(v.products)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,5 +1,6 @@
 """Expression grammar, canonical printing, CLI surface and reports."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilschober.algebra import AlgebraError
 from nilschober.cli import main, parse_pair
 from nilschober.cubes import CubeError
 from nilschober.expr import ExprError, eval_string, format_element, parse
 from nilschober.fiber import FiberContainmentError, FiberError
 from nilschober.linalg import LinAlgError
 from nilschober.oracle import OracleError
+from nilschober.shuffles import ShuffleError
 from nilschober.report import (
     ReportError,
     build_report,
@@ -185,6 +188,10 @@ def test_cli_render_determinism(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     # each B^1 vertex holds three diagrams
     assert (out1 / "B1_0.svg").read_text().count("<text") == 3
+    # both vertices hold the same three diagrams; pin their exact bytes
+    digest = "89a819c887af3461c165808bed29b336f537feea017084737defb25988bef352"
+    for name in files1:
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest
 
 
 def test_cli_render_bottom_vertex(tmp_path, capsys):
@@ -226,6 +233,18 @@ def test_report_validation_rejects_corruption():
         validate_report(bad3)
 
 
+@pytest.mark.parametrize("where", ["level table", "level entry"])
+def test_report_validation_rejects_non_objects(where):
+    doc = json.loads(to_json(build_report(2, max_oracle=0)))
+    tables = doc["pairs"][0]["level_tables"]
+    if where == "level table":
+        tables[0] = 5
+    else:
+        tables[0]["entries"][0] = [1]
+    with pytest.raises(ReportError, match=f"bad {where}"):
+        from_json(json.dumps(doc))
+
+
 def test_report_timing_flag():
     doc = build_report(2, max_oracle=0, with_timing=True)
     assert isinstance(doc["timing"]["total_s"], float)
@@ -252,7 +271,10 @@ def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "error",
-    [CubeError, FiberError, OracleError, LinAlgError],
+    [
+        CubeError, FiberError, OracleError, LinAlgError,
+        AlgebraError, ShuffleError, KeyError,
+    ],
 )
 def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys, error):
     import nilschober.report as report_mod
@@ -265,7 +287,10 @@ def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys, error):
                  "--max-oracle", "0"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "nilschober: internal error: invariant violated" in err
+    what = "invariant violated"
+    if not issubclass(error, ValueError):
+        what = f"{error.__name__}: {what!r}"
+    assert f"nilschober: internal error: {what}" in err
 
 
 def test_cli_exit_codes(monkeypatch, tmp_path, capsys):

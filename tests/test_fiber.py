@@ -100,7 +100,6 @@ def test_twist_invertibility_sweep(n):
             rep = total_fiber(pair)
             assert rep.verdict == "FlipEquivalence", pair
             assert rep.residual == (block_cross(*pair[0]),), pair
-            assert rep.flip_blocks == pair[0]
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -156,7 +156,7 @@ def test_oracle_fiber_dimension_examples():
 def test_truncated_module_oracle_spot_check():
     """h-sensitive coefficients do not disturb the fiber ranks."""
     for pair in [((1, 1), (1, 1)), ((1, 2), (2, 1)), ((1, 2), (1, 2))]:
-        mod = TruncatedPolyModule(pair[0], dot_bound=2, h_bound=2)
+        mod = TruncatedPolyModule(pair[0])
         report = total_fiber(pair)
         realized = realized_total_fiber(pair, mod)
         for cube, dims in zip(report.levels, realized.level_dims):

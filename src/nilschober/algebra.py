@@ -530,12 +530,11 @@ class TruncatedPolyModule:
         self.tau = tau
         self.n = total(tau)
         dot_vectors = _dot_vectors(self.n, self.DOT_BOUND - 1)
-        perms = block_perms(tau)
         self.basis = [
             (e, dots, w)
             for e in range(self.H_BOUND)
             for dots in dot_vectors
-            for w in perms
+            for w in block_perms(tau)
         ]
         self.index = {b: i for i, b in enumerate(self.basis)}
 

@@ -15,7 +15,6 @@ from nilschober.expr import ExprError, eval_string, format_element, parse
 from nilschober.fiber import FiberContainmentError, FiberError
 from nilschober.linalg import LinAlgError
 from nilschober.oracle import OracleError
-from nilschober.shuffles import ShuffleError
 from nilschober.report import (
     ReportError,
     build_report,
@@ -24,6 +23,7 @@ from nilschober.report import (
     to_json,
     validate_report,
 )
+from nilschober.shuffles import ShuffleError
 
 
 def test_eval_relation_examples():

@@ -324,48 +324,6 @@ class AlgebraElement:
         return f"<NH_{self.block} {format_element(self)}>"
 
 
-GeneratorToken = tuple
-# ("s", i) | ("x", i) | ("h",) | ("scalar", q): one factor of a product,
-# listed topmost first, matching the stacking order of multiplication.
-
-
-def normal_form(
-    word: list[GeneratorToken] | tuple[GeneratorToken, ...],
-    n: int,
-    block: Composition | None = None,
-) -> AlgebraElement:
-    """Reduce a generator word to its normal form.
-
-    The word [t1, ..., tq] stands for the product t1 * t2 * ... * tq,
-    folded from the left.
-
-    >>> from nilschober.expr import format_element
-    >>> format_element(normal_form([("s", 1), ("x", 1)], 2))
-    'X2*s1 + h'
-    """
-    if block is None:
-        block = (n,)
-
-    def tok(t: GeneratorToken) -> AlgebraElement:
-        if t[0] == "s":
-            return AlgebraElement.s_gen(n, t[1], block)
-        if t[0] == "x":
-            return AlgebraElement.x_gen(n, t[1], block)
-        if t[0] == "h":
-            return AlgebraElement.h_scalar(n, 1, block)
-        if t[0] == "scalar":
-            return AlgebraElement.unit(n, block).scale(t[1])
-        raise AlgebraError(f"unknown generator token {t!r}")
-
-    factors = [tok(t) for t in word]
-    if not factors:
-        return AlgebraElement.unit(n, block)
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc * f
-    return acc
-
-
 def parabolic_decompose(w: Perm, tau: Composition) -> tuple[Perm, Perm]:
     """Write w = alpha o u with u permuting tau-blocks and alpha increasing
     on them; lengths add.  w must preserve some coarsening of tau's blocks
@@ -465,6 +423,13 @@ def s_generators(tau: Composition) -> list[int]:
     for lo, hi in blocks(tau):
         out.extend(range(lo, hi))
     return out
+
+
+def generators(n: int, block: Composition) -> list[AlgebraElement]:
+    """The generators of NH_block: the crossings s_i inside its blocks, then
+    the dots X_1 ... X_n."""
+    gens = [AlgebraElement.s_gen(n, i, block) for i in s_generators(block)]
+    return gens + [AlgebraElement.x_gen(n, i, block) for i in range(1, n + 1)]
 
 
 class NilCoxeterModule:

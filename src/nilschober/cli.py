@@ -60,6 +60,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     pair = parse_pair(args.pair) if args.pair else None
     if pair is not None and pair not in two_part_pairs(args.n):
         raise CompositionError(f"pair {pair} is not a pair for n={args.n}")
+    out = Path(args.json) if args.json else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        print(f"check: cannot write the report to {out}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return _run_check(args, pair)
     except Exception as exc:  # the arguments parsed, so this is a bug

@@ -109,6 +109,13 @@ def all_compositions(n: int) -> list[Composition]:
     ]
 
 
+def refinement_pairs(n: int) -> list[tuple[Composition, Composition]]:
+    """Every (sigma, tau) with sigma <= tau, sigma outer and tau inner, both
+    in `all_compositions` order."""
+    comps = all_compositions(n)
+    return [(sigma, tau) for sigma in comps for tau in comps if refines(sigma, tau)]
+
+
 def parse_composition(text: str) -> Composition:
     try:
         parts = tuple(int(p) for p in text.split(","))

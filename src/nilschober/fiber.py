@@ -27,6 +27,7 @@ from .compositions import (
     PairCase,
     classify_pair,
     mirror_pair,
+    refinement_pairs,
     refines,
     total,
 )
@@ -160,7 +161,10 @@ def total_fiber(pair: Pair) -> FiberReport:
     Mirrored (a < c) pairs are computed on the mirrored pair; each level
     keeps those codes and conjugates them back by the order reversal when
     its `vertex_sets` is read.  The report records that the mirror was
-    used.
+    used.  Collapsing a mirrored pair on its own cube gives the same sets,
+    but the transport stays: the mirror pair's shuffles are those of an
+    unmirrored pair, already cached, so the sweep enumerates and keeps
+    fewer of them.
 
     >>> total_fiber(((2, 3), (2, 3))).verdict
     'Vanishes'
@@ -204,8 +208,6 @@ def check_recursiveness(n_total: int, comp: Composition, i: int) -> bool:
     vertex is the composition with slot i refined in place, and every
     restricted edge's shuffle set is the sub-schober's, extended by the
     identity on the other slots."""
-    from .compositions import all_compositions
-
     if any(p < 1 for p in comp) or sum(comp) != n_total:
         raise FiberError(f"improper composition {comp} of {n_total}")
     if not 1 <= i <= len(comp):
@@ -224,14 +226,11 @@ def check_recursiveness(n_total: int, comp: Composition, i: int) -> bool:
             out[offset + p - 1] = offset + v
         return tuple(out)
 
-    for sigma in all_compositions(n_i):
-        for tau in all_compositions(n_i):
-            if not refines(sigma, tau):
-                continue
-            inner = enumerate_shuffles(sigma, tau)
-            outer = enumerate_shuffles(embed_comp(sigma), embed_comp(tau))
-            if set(outer) != {embed_perm(w) for w in inner}:
-                return False
+    for sigma, tau in refinement_pairs(n_i):
+        inner = enumerate_shuffles(sigma, tau)
+        outer = enumerate_shuffles(embed_comp(sigma), embed_comp(tau))
+        if set(outer) != {embed_perm(w) for w in inner}:
+            return False
     return True
 
 
@@ -255,7 +254,7 @@ def check_far_commutativity(
     generator computed on it, so a route action is built once per sweep.
     Without it every call starts from an empty one.
     """
-    from .algebra import AlgebraElement, NilCoxeterModule, s_generators
+    from .algebra import NilCoxeterModule, generators
     from .oracle import HomSpace
 
     a, b = ab
@@ -277,20 +276,15 @@ def check_far_commutativity(
     route_b = route(c1 + d0, c1 + d1)
     if route_a[0].shuffles != route_b[0].shuffles:
         return False
-    n = total(source)
-    acting = c1 + d0
-    tokens = [("s", i) for i in s_generators(acting)]
-    tokens += [("x", i) for i in range(1, n + 1)]
 
-    def entries(side, token):
+    def entries(side, g):
         space, table = side
-        if token not in table:
-            kind, i = token
-            gen = AlgebraElement.s_gen if kind == "s" else AlgebraElement.x_gen
-            table[token] = space.action_entries(gen(n, i, acting))
-        return table[token]
+        key = tuple(g.terms)  # the generator's one diagram
+        if key not in table:
+            table[key] = space.action_entries(g)
+        return table[key]
 
-    for token in tokens:
-        if entries(route_a, token) != entries(route_b, token):
+    for g in generators(total(source), c1 + d0):
+        if entries(route_a, g) != entries(route_b, g):
             return False
     return True

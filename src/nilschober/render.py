@@ -111,7 +111,10 @@ def render_level(pair: Pair, level: int, out_dir: str | Path) -> list[Path]:
         lo, hi = 0, report.levels[0].level
         raise ValueError(f"level {level} out of range {lo}..{hi}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way: bad input, not a bug
+        raise ValueError(f"cannot create directory {out}: {exc.strerror}") from None
     written = []
     source, target = pair
     for index in sorted(cube.vertex_sets):

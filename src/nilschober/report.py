@@ -12,11 +12,7 @@ import json
 import time
 from typing import Any
 
-from .compositions import (
-    Pair,
-    all_compositions,
-    refines,
-)
+from .compositions import Pair, all_compositions, refinement_pairs
 from .fiber import (
     FiberReport,
     check_far_commutativity,
@@ -46,31 +42,19 @@ def two_part_pairs(n_total: int) -> list[Pair]:
     return [(ab, cd) for ab in comps for cd in comps]
 
 
-def _structural_adjunctability(n_total: int) -> bool:
-    """Induction is a finite free right adjoint: every refinement edge's
-    shuffle basis exists with the multinomial rank."""
-    comps = all_compositions(n_total)
-    for sigma in comps:
-        for tau in comps:
-            if not refines(sigma, tau):
-                continue
-            if len(enumerate_shuffles(sigma, tau)) != shuffle_count(sigma, tau):
-                return False
-    return True
-
-
 def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list[str]]:
     from .oracle import check_adjunction
 
     failures: list[str] = []
-    adjunct = _structural_adjunctability(n_total)
-    if n_total <= max_oracle:
-        comps = all_compositions(n_total)
-        for sigma in comps:
-            for tau in comps:
-                if refines(sigma, tau) and not check_adjunction(sigma, tau):
-                    adjunct = False
-                    failures.append(f"adjunction fails at {sigma} <= {tau}")
+    adjunct = True
+    for sigma, tau in refinement_pairs(n_total):
+        # induction is a finite free right adjoint: every refinement edge's
+        # shuffle basis exists with the multinomial rank
+        if len(enumerate_shuffles(sigma, tau)) != shuffle_count(sigma, tau):
+            adjunct = False
+        if n_total <= max_oracle and not check_adjunction(sigma, tau):
+            adjunct = False
+            failures.append(f"adjunction fails at {sigma} <= {tau}")
     recursive = True
     for comp in all_compositions(n_total):
         for i in range(1, len(comp) + 1):
@@ -82,28 +66,20 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
     memo: dict = {}  # route actions shared by this sweep only
     for a in range(1, n_total):
         b = n_total - a
-        for c0 in all_compositions(a):
-            for c1 in all_compositions(a):
-                if not refines(c0, c1):
-                    continue
-                for d0 in all_compositions(b):
-                    for d1 in all_compositions(b):
-                        if not refines(d0, d1):
-                            continue
-                        if matrix_far:
-                            ok = check_far_commutativity(
-                                (a, b), c0, c1, d0, d1, memo=memo
-                            )
-                        else:
-                            ok = set(
-                                enumerate_shuffles(c0 + d0, c0 + d1)
-                            ) == set(enumerate_shuffles(c1 + d0, c1 + d1))
-                        if not ok:
-                            far = False
-                            failures.append(
-                                f"far-commutativity fails at ({a},{b}), "
-                                f"{c0}<={c1}, {d0}<={d1}"
-                            )
+        for c0, c1 in refinement_pairs(a):
+            for d0, d1 in refinement_pairs(b):
+                if matrix_far:
+                    ok = check_far_commutativity((a, b), c0, c1, d0, d1, memo=memo)
+                else:
+                    ok = set(enumerate_shuffles(c0 + d0, c0 + d1)) == set(
+                        enumerate_shuffles(c1 + d0, c1 + d1)
+                    )
+                if not ok:
+                    far = False
+                    failures.append(
+                        f"far-commutativity fails at ({a},{b}), "
+                        f"{c0}<={c1}, {d0}<={d1}"
+                    )
     return (
         {
             "adjunctability": adjunct,
@@ -140,7 +116,7 @@ def _pair_entry(
                 f"{report.verdict} {report.residual}"
             )
         if twist_ok and n_total <= max_oracle:
-            if not flip_action_check(pair, report, realized):
+            if not flip_action_check(pair, realized=realized):
                 twist_ok = False
                 failures.append("flip action check fails on the nil-Coxeter module")
     else:
@@ -235,17 +211,24 @@ def _require(cond: bool, message: str) -> None:
         raise ReportError(message)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: `bool` is an `int` subclass, but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_report(doc: dict[str, Any]) -> None:
     """Schema walk; raises ReportError on any malformed field."""
     _require(isinstance(doc, dict), "document must be an object")
     _require(doc.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
     n_total = doc.get("n_total")
-    _require(isinstance(n_total, int) and n_total >= 2, "bad n_total")
+    _require(_is_int(n_total) and n_total >= 2, "bad n_total")
     _require(
         doc.get("timing") is None
         or (
             isinstance(doc["timing"], dict)
-            and all(isinstance(v, (int, float)) for v in doc["timing"].values())
+            and all(
+                _is_int(v) or isinstance(v, float) for v in doc["timing"].values()
+            )
         ),
         "bad timing",
     )
@@ -257,7 +240,10 @@ def validate_report(doc: dict[str, Any]) -> None:
             isinstance(pair, dict)
             and sorted(pair) == ["ab", "cd"]
             and all(
-                isinstance(c, list) and len(c) == 2 and sum(c) == n_total
+                isinstance(c, list)
+                and len(c) == 2
+                and all(_is_int(p) for p in c)
+                and sum(c) == n_total
                 for c in pair.values()
             ),
             "bad pair field",
@@ -278,7 +264,9 @@ def validate_report(doc: dict[str, Any]) -> None:
         )
         for w in entry["residual_permutations"]:
             _require(
-                isinstance(w, list) and sorted(w) == list(range(1, n_total + 1)),
+                isinstance(w, list)
+                and all(_is_int(v) for v in w)
+                and sorted(w) == list(range(1, n_total + 1)),
                 f"residual {w} is not a permutation",
             )
         tables = entry.get("level_tables")
@@ -286,7 +274,7 @@ def validate_report(doc: dict[str, Any]) -> None:
         for table in tables:
             _require(
                 isinstance(table, dict)
-                and isinstance(table.get("level"), int)
+                and _is_int(table.get("level"))
                 and isinstance(table.get("entries"), list),
                 "bad level table",
             )
@@ -295,8 +283,8 @@ def validate_report(doc: dict[str, Any]) -> None:
                     isinstance(cell, dict)
                     and isinstance(cell.get("index_bits"), list)
                     and len(cell["index_bits"]) == table["level"]
-                    and all(b in (0, 1) for b in cell["index_bits"])
-                    and isinstance(cell.get("rank"), int)
+                    and all(_is_int(b) and b in (0, 1) for b in cell["index_bits"])
+                    and _is_int(cell.get("rank"))
                     and cell["rank"] >= 0,
                     "bad level entry",
                 )

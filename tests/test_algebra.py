@@ -16,12 +16,12 @@ from nilschober.algebra import (
     TruncatedPolyModule,
     block_perms,
     flip_iso,
+    generators,
     module_decompose,
-    normal_form,
     s_generators,
 )
 from nilschober.compositions import all_compositions, refines
-from nilschober.expr import format_element
+from nilschober.expr import eval_string, format_element
 from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul, zeros
 from nilschober.perms import compose, inversions, nil_product
 from nilschober.shuffles import enumerate_shuffles
@@ -87,16 +87,20 @@ def test_h_is_central():
 
 
 def test_normal_form_word_examples():
-    assert format_element(normal_form([("s", 1), ("x", 1)], 2)) == "X2*s1 + h"
-    assert normal_form([("x", 1), ("s", 1)], 2) == A.x_gen(2, 1) * A.s_gen(2, 1)
-    assert format_element(normal_form([("x", 1), ("s", 1)], 2)) == "X1*s1"
+    assert format_element(eval_string("s1*X1", (2,))) == "X2*s1 + h"
+    assert eval_string("X1*s1", (2,)) == A.x_gen(2, 1) * A.s_gen(2, 1)
+    assert format_element(eval_string("X1*s1", (2,))) == "X1*s1"
 
 
-def test_normal_form_rejects_bad_index():
+def test_generators_reject_bad_index():
     with pytest.raises(AlgebraError):
-        normal_form([("s", 4)], 3)
+        A.s_gen(3, 4)
     with pytest.raises(AlgebraError):
-        normal_form([("x", 0)], 3)
+        A.s_gen(3, 0)
+    with pytest.raises(AlgebraError):
+        A.x_gen(3, 0)
+    with pytest.raises(AlgebraError):
+        A.x_gen(3, 4)
 
 
 def test_reduction_strategies_agree():
@@ -106,16 +110,41 @@ def test_reduction_strategies_agree():
         word = []
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.5:
-                word.append(("s", rng.randint(1, n - 1)))
+                word.append(A.s_gen(n, rng.randint(1, n - 1)))
             elif rng.random() < 0.8:
-                word.append(("x", rng.randint(1, n)))
+                word.append(A.x_gen(n, rng.randint(1, n)))
             else:
-                word.append(("h",))
-        # normal_form folds from the left; fold the same word from the right
-        right = normal_form(word[-1:], n)
-        for token in reversed(word[:-1]):
-            right = normal_form([token], n) * right
-        assert normal_form(word, n) == right, word
+                word.append(A.h_scalar(n))
+        left = word[0]
+        for factor in word[1:]:
+            left = left * factor
+        right = word[-1]
+        for factor in reversed(word[:-1]):
+            right = factor * right
+        assert left == right, [format_element(f) for f in word]
+
+
+# the s_i inside the blocks of every composition with n <= 4
+S_INDICES = {
+    (1,): [], (2,): [1], (1, 1): [],
+    (3,): [1, 2], (2, 1): [1], (1, 2): [2], (1, 1, 1): [],
+    (4,): [1, 2, 3], (3, 1): [1, 2], (2, 2): [1, 3], (2, 1, 1): [1],
+    (1, 3): [2, 3], (1, 2, 1): [2], (1, 1, 2): [3], (1, 1, 1, 1): [],
+}
+
+
+def test_generators_are_crossings_then_dots():
+    assert sorted(S_INDICES) == sorted(
+        c for n in range(1, 5) for c in all_compositions(n)
+    )
+    for block, s_indices in S_INDICES.items():
+        n = sum(block)
+        expected = [A.s_gen(n, i, block) for i in s_indices]
+        expected += [A.x_gen(n, i, block) for i in range(1, n + 1)]
+        got = generators(n, block)
+        assert [(g.block, g.terms) for g in got] == [
+            (g.block, g.terms) for g in expected
+        ], block
 
 
 def test_associativity_random_triples():

@@ -15,6 +15,7 @@ from nilschober.compositions import (
     psi,
     psi_inv,
     reconstruct_pair,
+    refinement_pairs,
     refines,
     total,
 )
@@ -77,6 +78,19 @@ def test_refines_is_bitwise_dominance(n):
     for sigma in comps:
         for tau in comps:
             assert refines(sigma, tau) == brute_refines(sigma, tau)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_refinement_pairs_is_the_double_loop(n):
+    comps = all_compositions(n)
+    brute = [
+        (sigma, tau)
+        for sigma in comps
+        for tau in comps
+        if brute_refines(sigma, tau)
+    ]
+    assert refinement_pairs(n) == brute
+    assert len(brute) == 3 ** (n - 1)  # each gap: cut in both, tau only, neither
 
 
 def test_refines_examples():

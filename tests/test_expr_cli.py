@@ -56,8 +56,9 @@ def test_parse_errors_carry_positions():
 def test_eval_range_and_block_checks():
     with pytest.raises(ExprError):
         eval_string("s3", (2,))
-    with pytest.raises(ExprError):
-        eval_string("X4", (3,))
+    for word in ("s4", "X0", "X4"):
+        with pytest.raises(ExprError):
+            eval_string(word, (3,))
     # s1 crosses the block boundary of (1, 1)
     with pytest.raises(ExprError):
         eval_string("s1", (1, 1))
@@ -243,6 +244,88 @@ def test_report_validation_rejects_non_objects(where):
         tables[0]["entries"][0] = [1]
     with pytest.raises(ReportError, match=f"bad {where}"):
         from_json(json.dumps(doc))
+
+
+def _set_ab(doc, value):
+    doc["pairs"][0]["pair"]["ab"] = value
+
+
+def _set_residual(doc, value):
+    doc["pairs"][0]["residual_permutations"] = value
+
+
+def _set_level_1(doc, key, value):
+    table = next(t for t in doc["pairs"][0]["level_tables"] if t["level"] == 1)
+    if key == "level":
+        table["level"] = value
+    else:
+        table["entries"][0][key] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: _set_ab(doc, ["1", 2]),
+        lambda doc: _set_residual(doc, [[[1], 2, 3]]),
+        lambda doc: _set_level_1(doc, "rank", True),
+        lambda doc: _set_ab(doc, [True, 2]),
+        lambda doc: _set_level_1(doc, "index_bits", [True]),
+        lambda doc: _set_level_1(doc, "level", True),
+        lambda doc: doc.update(timing={"total_s": True}),
+    ],
+    ids=[
+        "string part", "nested residual", "bool rank", "bool part",
+        "bool index bit", "bool level", "bool timing",
+    ],
+)
+def test_from_json_rejects_non_integers(corrupt):
+    """Every malformed number is a ReportError: no TypeError escapes, and a
+    JSON boolean is not an integer."""
+    doc = json.loads(to_json(build_report(3, max_oracle=0)))
+    corrupt(doc)
+    with pytest.raises(ReportError):
+        from_json(json.dumps(doc))
+
+
+CHECK_DIGESTS = {
+    ("--n", "2"): "a7b830e887c1b0a64ef63273109901a2a9e6efa583482b548d8bd52b45590ea9",
+    ("--n", "3"): "29256a390289309bbcc43800805757314db2c7e121e94d1e4c331f8910e4b489",
+    ("--n", "4"): "677810e3cf2ca1e56db5bd2f5307ef171f573ef24828b293717ca36049bd0e64",
+    ("--n", "5"): "f0c622fb5e075300f4b119dfd7899a6af8e9481ea1a087b6345af012a1d60abf",
+    ("--n", "6"): "f1cfdc1b9f8073cb95404a3c80c4c87adedac2527b2aa76ce4f6e0ce51727f96",
+    ("--n", "5", "--max-oracle", "5"): (
+        "f0c622fb5e075300f4b119dfd7899a6af8e9481ea1a087b6345af012a1d60abf"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(CHECK_DIGESTS), ids=" ".join)
+def test_cli_check_json_digests(args, capsys):
+    """The default reports keep their bytes."""
+    assert main(["check", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[args]
+
+
+def test_cli_bad_output_paths_are_usage_errors(monkeypatch, tmp_path, capsys):
+    """A --json path whose directory is missing exits 2 before the sweep
+    runs; so does a render directory under a regular file."""
+    import nilschober.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("build_report ran")
+
+    monkeypatch.setattr(cli_mod, "build_report", no_sweep)
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(["check", "--n", "4", "--json", str(target)]) == 2
+        assert str(target) in capsys.readouterr().err
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out in (afile / "sub", afile):
+        assert main(["render", "--pair", "1,1;1,1", "--level", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "internal error" not in err
 
 
 def test_report_timing_flag():

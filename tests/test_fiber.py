@@ -11,6 +11,8 @@ from nilschober.compositions import (
     refines,
 )
 import nilschober.fiber as fiber
+import nilschober.oracle as oracle
+import nilschober.report as report
 from nilschober.fiber import (
     FiberContainmentError,
     FiberError,
@@ -335,6 +337,86 @@ def test_far_commutativity_can_fail(monkeypatch):
             "far-commutativity fails at (2,2), (2,)<=(1, 1), (2,)<=(1, 1)"
             in entry["failures"]
         )
+
+
+def test_forced_failures_keep_their_order(monkeypatch):
+    """Global failures are listed adjunction first, then recursiveness, then
+    far-commutativity, each in its sweep order; every pair entry repeats
+    them.  The list is the one the checks gave before they shared one
+    refinement sweep."""
+    bad_adj = {
+        ((4,), (2, 2)), ((1, 3), (1, 1, 2)),
+        ((2, 2), (1, 1, 1, 1)), ((3, 1), (3, 1)),
+    }
+    bad_rec = {((2, 2), 1), ((1, 3), 2)}
+    bad_far = {
+        ((2, 2), (2,), (1, 1), (2,), (2,)),
+        ((1, 3), (1,), (1,), (3,), (1, 2)),
+        ((3, 1), (1, 2), (1, 1, 1), (1,), (1,)),
+        ((1, 3), (1,), (1,), (1, 2), (1, 1, 1)),
+    }
+    real_adj = oracle.check_adjunction
+    real_rec = report.check_recursiveness
+    real_far = report.check_far_commutativity
+    monkeypatch.setattr(
+        oracle, "check_adjunction",
+        lambda sigma, tau: (sigma, tau) not in bad_adj and real_adj(sigma, tau),
+    )
+    monkeypatch.setattr(
+        report, "check_recursiveness",
+        lambda n, comp, i: (comp, i) not in bad_rec and real_rec(n, comp, i),
+    )
+    monkeypatch.setattr(
+        report, "check_far_commutativity",
+        lambda *args, memo: args not in bad_far and real_far(*args, memo=memo),
+    )
+    doc = build_report(4, max_oracle=4)
+    expected = [
+        "adjunction fails at (4,) <= (2, 2)",
+        "adjunction fails at (3, 1) <= (3, 1)",
+        "adjunction fails at (2, 2) <= (1, 1, 1, 1)",
+        "adjunction fails at (1, 3) <= (1, 1, 2)",
+        "recursiveness fails at (2, 2), slot 1",
+        "recursiveness fails at (1, 3), slot 2",
+        "far-commutativity fails at (1,3), (1,)<=(1,), (3,)<=(1, 2)",
+        "far-commutativity fails at (1,3), (1,)<=(1,), (1, 2)<=(1, 1, 1)",
+        "far-commutativity fails at (2,2), (2,)<=(1, 1), (2,)<=(2,)",
+        "far-commutativity fails at (3,1), (1, 2)<=(1, 1, 1), (1,)<=(1,)",
+    ]
+    for entry in doc["pairs"]:
+        assert entry["failures"] == expected
+        assert entry["checks"] == {
+            "adjunctability": False,
+            "recursiveness": False,
+            "far_commutativity": False,
+            "twist_invertibility": True,
+            "defect_vanishing": True,
+        }
+
+
+def test_structural_adjunction_failure_still_runs_the_oracle(monkeypatch):
+    """A shuffle basis of the wrong size fails adjunctability without a
+    failure line, and the matrix adjunction still runs on every pair."""
+    calls = []
+    real_adj = oracle.check_adjunction
+    real_count = report.shuffle_count
+
+    def counted(sigma, tau):
+        calls.append((sigma, tau))
+        return real_adj(sigma, tau)
+
+    def wrong(sigma, tau):
+        return real_count(sigma, tau) + ((sigma, tau) == ((2, 2), (1, 1, 1, 1)))
+
+    monkeypatch.setattr(oracle, "check_adjunction", counted)
+    monkeypatch.setattr(report, "shuffle_count", wrong)
+    doc = build_report(4)
+    assert len(calls) == 27
+    for entry in doc["pairs"]:
+        assert entry["failures"] == []
+        assert entry["checks"]["adjunctability"] is False
+        assert entry["checks"]["recursiveness"]
+        assert entry["checks"]["far_commutativity"]
 
 
 @pytest.mark.parametrize("perturbed", [False, True])

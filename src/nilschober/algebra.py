@@ -89,7 +89,8 @@ class HPoly:
         return HPoly._of(out)
 
     def scale(self, c) -> "HPoly":
-        return HPoly({e: v * Fraction(c) for e, v in self.coeffs.items()})
+        c = Fraction(c)
+        return HPoly._of({e: v * c for e, v in self.coeffs.items()})
 
     def shift(self, power: int) -> "HPoly":
         return HPoly._of({e + power: v for e, v in self.coeffs.items()})
@@ -119,6 +120,7 @@ class HPoly:
 
 Dots = tuple[int, ...]
 TermKey = tuple[Dots, Perm]  # a dotted diagram: dots above the permutation
+PermTerms = list[tuple[Perm, Fraction]]  # sum c * w in the nil-Coxeter quotient
 
 
 class AlgebraError(ValueError):
@@ -432,6 +434,19 @@ def generators(n: int, block: Composition) -> list[AlgebraElement]:
     return gens + [AlgebraElement.x_gen(n, i, block) for i in range(1, n + 1)]
 
 
+def nil_coxeter_image(x: AlgebraElement) -> PermTerms:
+    """x in the nil-Coxeter quotient NH/(X_i = 0, h = 0): its dot-free terms
+    with a nonzero constant coefficient, as (permutation, coefficient)."""
+    out = []
+    for (dots, w), hp in x.terms.items():
+        if any(dots):
+            continue
+        c0 = hp.constant_term()
+        if c0:
+            out.append((w, c0))
+    return out
+
+
 class NilCoxeterModule:
     """The right NH_tau-module NH_tau/(X_i = 0, h = 0), of dimension
     prod(tau_i!), with basis the block permutations of tau.
@@ -453,18 +468,17 @@ class NilCoxeterModule:
 
     def act_entries(self, x: AlgebraElement) -> Entries:
         """Nonzero entries {(row, col): value} of the right action of a
-        general element (dots and h act by 0).
+        general element: `perm_entries` of its `nil_coxeter_image`."""
+        return self.perm_entries(nil_coxeter_image(x))
 
-        Only the dot-free terms act, one permutation w each, and u -> u o w
-        is injective, so every entry comes from a single term.
+    def perm_entries(self, terms: PermTerms) -> Entries:
+        """Nonzero entries of the right action of sum c * w over nonzero
+        (w, c) terms with distinct w, an element of the nil-Coxeter quotient.
+
+        u -> u o w is injective, so every entry comes from a single term.
         """
         out: Entries = {}
-        for (dots, w), hp in x.terms.items():
-            if any(dots):
-                continue
-            c0 = hp.constant_term()
-            if c0 == 0:
-                continue
+        for w, c0 in terms:
             for c, u in enumerate(self.basis):
                 img = nil_product(u, w)
                 if img is None:

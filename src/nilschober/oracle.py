@@ -3,11 +3,15 @@ Independent exact-matrix verification of the fiber engine.
 
 Vertices of Beck-Chevalley cubes are realized as coordinate spaces over a
 finite-dimensional coefficient module (nil-Coxeter by default), and edge
-maps as the nonzero entries of exact rational matrices obtained by honest
-module decompositions.  Total fibers are iterated kernels computed on
-row-sparse matrices, from the edge entries to the final kernel; the dense
-`realize_map` and `action_matrix` are views for tests and small checks.
-The Hom spaces of the adjunction check are found by spinning the domain
+maps as the nonzero entries of exact rational matrices obtained by
+decomposing over the free right module structures NH_sigma = sum alpha
+NH_tau.  Nil-Coxeter coefficients see NH only through its quotient by the
+dots and h, where that decomposition is the parabolic factorization
+w = alpha o u of a permutation (`_NilCoxeter`); every other module goes
+through `module_decompose` in NH itself (`_NilHecke`).  Total fibers are
+iterated kernels computed on row-sparse matrices, from the edge entries
+to the final kernel; the dense `realize_map` and `action_matrix` are
+views for tests and small checks.  The Hom spaces of the adjunction check are found by spinning the domain
 module under the generator actions (`spin_hom`), so their unknowns are the
 images of a few generators rather than whole matrices.  Nothing here
 reuses the set-difference shortcut of the diagram engine, so agreement
@@ -23,9 +27,12 @@ from itertools import product as iproduct
 from .algebra import (
     AlgebraElement,
     NilCoxeterModule,
+    PermTerms,
     flip_iso,
     generators,
     module_decompose,
+    nil_coxeter_image,
+    parabolic_decompose,
 )
 from .compositions import Composition, Pair, refines, total
 from .cubes import (
@@ -53,12 +60,86 @@ from .linalg import (
     sparse_rank,
     sparse_solve,
 )
-from .perms import block_cross, compose
+from .perms import Perm, block_cross, compose, nil_product
 from .shuffles import enumerate_shuffles
 
 
 class OracleError(ValueError):
     pass
+
+
+class _NilHecke:
+    """Coefficients in NH itself: elements are `AlgebraElement`s, split over
+    the shuffles by `module_decompose`; for modules where dots and h act."""
+
+    @staticmethod
+    def lift(g: AlgebraElement) -> AlgebraElement:
+        return g
+
+    @staticmethod
+    def perm(w: Perm, block: Composition) -> AlgebraElement:
+        return AlgebraElement.from_perm(w, block)
+
+    @staticmethod
+    def times(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+        return a * b
+
+    @staticmethod
+    def split(
+        coarse: Composition, fine: Composition, x: AlgebraElement
+    ) -> dict[Perm, AlgebraElement]:
+        return module_decompose(coarse, fine, x)
+
+    @staticmethod
+    def act(module, y: AlgebraElement) -> Entries:
+        return module.act_entries(y)
+
+
+class _NilCoxeter:
+    """Coefficients in the nil-Coxeter quotient NH/(X_i = 0, h = 0), all a
+    `NilCoxeterModule` sees: elements are lists of (permutation,
+    coefficient) terms (`nil_coxeter_image`), products of crossings are
+    `nil_product`, and NH_coarse = sum alpha NH_fine becomes the unique
+    parabolic factorization w = alpha o u with lengths adding (Deodhar
+    1977; Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4).  Each
+    term lands in one block, with no rewriting; a dot acts by nothing."""
+
+    lift = staticmethod(nil_coxeter_image)
+
+    @staticmethod
+    def perm(w: Perm, block: Composition) -> PermTerms:
+        return [(w, ONE)]
+
+    @staticmethod
+    def times(a: PermTerms, b: PermTerms) -> PermTerms:
+        out = []
+        for wa, ca in a:
+            for wb, cb in b:
+                w = nil_product(wa, wb)
+                if w is not None:
+                    out.append((w, ca * cb))
+        return out
+
+    @staticmethod
+    def split(
+        coarse: Composition, fine: Composition, x: PermTerms
+    ) -> dict[Perm, PermTerms]:
+        """{alpha: [(u, c)]} in the shuffle order, as `module_decompose`."""
+        out: dict[Perm, PermTerms] = {}
+        for w, c in x:
+            alpha, u = parabolic_decompose(w, fine)
+            out.setdefault(alpha, []).append((u, c))
+        return dict(sorted(out.items()))
+
+    @staticmethod
+    def act(module, y: PermTerms) -> Entries:
+        return module.perm_entries(y)
+
+
+def _coefficients(module):
+    """The arithmetic that `module`'s actions need: the nil-Coxeter quotient
+    for a `NilCoxeterModule`, NH for any other."""
+    return _NilCoxeter if isinstance(module, NilCoxeterModule) else _NilHecke
 
 
 class HomSpace:
@@ -89,16 +170,21 @@ class HomSpace:
         (phi.g)(alpha) = phi(g alpha) = sum phi(alpha') . y, so the output
         block at alpha draws from the input blocks alpha' of the
         decomposition g alpha = sum alpha' y.  Each (alpha, alpha') block
-        is written once, from the module's entries of y.
+        is written once, from the module's entries of y.  On a
+        `NilCoxeterModule` the decomposition is taken in the nil-Coxeter
+        quotient (`_NilCoxeter`): an s_i term of g gives at most one block
+        per alpha, and a dot none; other modules use `module_decompose`.
         """
+        ring = _coefficients(self.module)
         dim_t = self.module.dim
+        image = ring.lift(g)
         out: Entries = {}
         for row, alpha in enumerate(self.shuffles):
             r0 = row * dim_t
-            moved = g * AlgebraElement.from_perm(alpha, self.outer)
-            for aprime, y in module_decompose(self.outer, self.inner, moved).items():
+            moved = ring.times(image, ring.perm(alpha, self.outer))
+            for aprime, y in ring.split(self.outer, self.inner, moved).items():
                 c0 = self.index[aprime] * dim_t
-                for (r, c), v in self.module.act_entries(y).items():
+                for (r, c), v in ring.act(self.module, y).items():
                     out[(r0 + r, c0 + c)] = v
         return out
 
@@ -185,25 +271,30 @@ def _two_layer_entries(
     """Nonzero entries of phi -> ((E', F') -> phi(g E')(F')), from src to
     dst coordinates, decomposing over the src layers; g = None is the
     identity.  Different (E_i, F_j) can land on one block, so entries are
-    summed and the cancelled ones dropped at the end."""
-    dim_t = src.module.dim
-    act = src.module.act_entries
+    summed and the cancelled ones dropped at the end.  Both layers are
+    decomposed in the coefficients of the module (`_coefficients`): the
+    nil-Coxeter quotient for a `NilCoxeterModule`, `module_decompose`
+    otherwise."""
+    module = src.module
+    ring = _coefficients(module)
+    dim_t = module.dim
+    image = None if g is None else ring.lift(g)
     out: Entries = {}
     for e in dst.e_set:
-        moved = AlgebraElement.from_perm(e, src.cd)
-        if g is not None:
-            moved = g * moved
-        outer = module_decompose(src.cd, src.outer_fine, moved)
+        moved = ring.perm(e, src.cd)
+        if image is not None:
+            moved = ring.times(image, moved)
+        outer = ring.split(src.cd, src.outer_fine, moved)
         for f in dst.f_set:
             r0 = dst.block_index[compose(e, f)] * dim_t
-            f_elem = AlgebraElement.from_perm(f, src.inner_coarse)
+            f_elem = ring.perm(f, src.inner_coarse)
             for e_i, x_i in outer.items():
-                inner = module_decompose(
-                    src.inner_coarse, src.inner_fine, x_i * f_elem
+                inner = ring.split(
+                    src.inner_coarse, src.inner_fine, ring.times(x_i, f_elem)
                 )
                 for f_j, y in inner.items():
                     c0 = src.block_index[compose(e_i, f_j)] * dim_t
-                    for (r, c), v in act(y).items():
+                    for (r, c), v in ring.act(module, y).items():
                         key = (r0 + r, c0 + c)
                         out[key] = out.get(key, 0) + v
     return {key: v for key, v in out.items() if v}

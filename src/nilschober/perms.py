@@ -51,12 +51,17 @@ def adjacent_transposition(n: int, i: int) -> Perm:
 def nil_product(a: Perm, b: Perm) -> Perm | None:
     """Product of crossing diagrams: `a` over `b`, or None if a bigon forms.
 
-    Lengths must add, otherwise the product is zero in the nil world.
+    Lengths must add, otherwise the product is zero in the nil world.  They
+    add unless `a` uncrosses a pair of strands that `b` crossed: slots
+    p < q with b(p) > b(q) whose images under a o b come out in order.
     """
     w = compose(a, b)
-    if inversions(w) == inversions(a) + inversions(b):
-        return w
-    return None
+    for q in range(1, len(w)):
+        bq, wq = b[q], w[q]
+        for p in range(q):
+            if b[p] > bq and w[p] < wq:
+                return None
+    return w
 
 
 def left_descent(w: Perm) -> int | None:

@@ -12,7 +12,7 @@ import json
 import time
 from typing import Any
 
-from .compositions import Pair, all_compositions, refinement_pairs
+from .compositions import CASE_TAGS, Pair, all_compositions, refinement_pairs
 from .fiber import (
     FiberReport,
     check_far_commutativity,
@@ -250,7 +250,10 @@ def validate_report(doc: dict[str, Any]) -> None:
         )
         case = entry.get("case")
         _require(
-            isinstance(case, dict) and isinstance(case.get("tag"), str),
+            isinstance(case, dict)
+            and case.get("tag") in CASE_TAGS
+            and isinstance(case.get("params"), dict)
+            and all(_is_int(v) for v in case["params"].values()),
             "bad case field",
         )
         _require(isinstance(entry.get("mirrored"), bool), "bad mirrored flag")
@@ -288,6 +291,12 @@ def validate_report(doc: dict[str, Any]) -> None:
                     and cell["rank"] >= 0,
                     "bad level entry",
                 )
+            _require(
+                len({tuple(c["index_bits"]) for c in table["entries"]})
+                == len(table["entries"])
+                == 2 ** table["level"],
+                f"level {table['level']} table needs its 2^level indices once each",
+            )
         checks = entry.get("checks")
         _require(
             isinstance(checks, dict)

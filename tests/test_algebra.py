@@ -162,8 +162,11 @@ def test_pure_crossing_nil_law_exhaustive_s4():
             w = compose(u, v)
             if inversions(w) == inversions(u) + inversions(v):
                 assert prod == A.from_perm(w)
+                assert nil_product(u, v) == w
             else:
                 assert prod.is_zero()
+                assert nil_product(u, v) is None
+
 
 
 def test_module_decompose_nh3_basis():

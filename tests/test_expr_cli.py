@@ -246,6 +246,45 @@ def test_report_validation_rejects_non_objects(where):
         from_json(json.dumps(doc))
 
 
+def test_from_json_rejects_malformed_cases():
+    """A case tag outside compositions.CASE_TAGS, or case parameters that
+    are not integers, is a ReportError; every case of a real report
+    passes."""
+    doc = json.loads(to_json(build_report(4, max_oracle=0)))
+    validate_report(doc)
+    corrupt = [("tag", tag) for tag in ("Nonsense", "", None, 3)]
+    corrupt += [("params", p) for p in ({"a": "x"}, {"zz": [1]}, {"c": True}, [])]
+    for key, value in corrupt:
+        bad = json.loads(json.dumps(doc))
+        bad["pairs"][0]["case"][key] = value
+        with pytest.raises(ReportError, match="bad case field"):
+            from_json(json.dumps(bad))
+
+
+def _level_2_entries(doc):
+    return next(t for t in doc["pairs"][0]["level_tables"] if t["level"] == 2)[
+        "entries"
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entries: entries.clear(),
+        lambda entries: entries.pop(),
+        lambda entries: entries.__setitem__(0, dict(entries[1])),
+        lambda entries: entries.append(dict(entries[0])),
+    ],
+    ids=["empty", "missing index", "duplicated index", "extra entry"],
+)
+def test_from_json_rejects_incomplete_level_tables(corrupt):
+    """A level-k table must hold each of the 2^k indices exactly once."""
+    doc = json.loads(to_json(build_report(4, max_oracle=0)))
+    corrupt(_level_2_entries(doc))
+    with pytest.raises(ReportError, match="level 2 table"):
+        from_json(json.dumps(doc))
+
+
 def _set_ab(doc, value):
     doc["pairs"][0]["pair"]["ab"] = value
 

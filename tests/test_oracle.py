@@ -11,11 +11,12 @@ from nilschober.algebra import (
     AlgebraElement,
     NilCoxeterModule,
     TruncatedPolyModule,
+    generators,
     mirror_iso,
     module_decompose,
     s_generators,
 )
-from nilschober.compositions import all_compositions, refines
+from nilschober.compositions import all_compositions, refinement_pairs, refines
 from nilschober.cubes import bc_vertex, build_bifactorization
 from nilschober.fiber import collapse_order, total_fiber
 from nilschober.linalg import (
@@ -325,17 +326,50 @@ def test_x_generators_act_by_zero_on_hom_spaces():
     the zero matrix: X_i alpha = alpha' X_j + h * (crossings), and dots and
     h both act by 0.  Far-commutativity at matrix level therefore compares
     empty actions for all its X generators.  An s generator never acts by
-    zero: at the identity shuffle it contributes a unit block or s_i."""
+    zero: at the identity shuffle it contributes a unit block or s_i.
+    Both claims are computed through module_decompose; the quotient path
+    of HomSpace then writes no entry for any X_i."""
     for n, sigma, tau in _refinements(4):
         for rho in {sigma, tau}:
             space = HomSpace(sigma, tau, NilCoxeterModule(rho))
             for i in range(1, n + 1):
-                m = space.action_matrix(AlgebraElement.x_gen(n, i, sigma))
-                assert len(m) == space.dim
-                assert all(len(row) == space.dim and not any(row) for row in m)
+                x = AlgebraElement.x_gen(n, i, sigma)
+                assert _decomposed_hom_entries(space, x) == {}, (sigma, tau, rho, i)
+                assert space.action_entries(x) == {}
             for i in s_generators(sigma):
-                m = space.action_matrix(AlgebraElement.s_gen(n, i, sigma))
-                assert any(any(row) for row in m), (sigma, tau, rho, i)
+                s = AlgebraElement.s_gen(n, i, sigma)
+                assert _decomposed_hom_entries(space, s), (sigma, tau, rho, i)
+
+
+def _hom_spaces(max_n):
+    """Every HomSpace(sigma, tau, NilCoxeterModule(rho)) for sigma <= tau
+    with n <= max_n and rho in {sigma, tau}, and every far-commutativity
+    route-b space HomSpace(c1+d0, c1+d1, NilCoxeterModule(c0+d1)); each
+    with the generators of its outer algebra."""
+    seen = set()
+    for n, sigma, tau in _refinements(max_n):
+        for rho in (sigma, tau):
+            seen.add((n, sigma, tau, rho))
+        for a in range(1, n):
+            for c0, c1 in refinement_pairs(a):
+                for d0, d1 in refinement_pairs(n - a):
+                    seen.add((n, c1 + d0, c1 + d1, c0 + d1))
+    for n, sigma, tau, rho in sorted(seen):
+        yield HomSpace(sigma, tau, NilCoxeterModule(rho)), generators(n, sigma)
+
+
+def test_hom_space_actions_match_module_decompose():
+    """HomSpace.action_entries on nil-Coxeter modules, which decomposes in
+    the quotient, equals the decomposition in NH through module_decompose,
+    entry for entry and in the same order, for every generator, n <= 5."""
+    spaces = 0
+    for space, gens in _hom_spaces(5):
+        for g in gens:
+            got = list(space.action_entries(g).items())
+            ref = list(_decomposed_hom_entries(space, g).items())
+            assert got == ref, (space.outer, space.inner, space.module.tau, g)
+        spaces += 1
+    assert spaces > 0
 
 
 def _dense_intertwiner_basis(dom, cod, dim_m, dim_n):
@@ -584,12 +618,13 @@ def test_sparse_fiber_matches_dense_reference(n):
         assert rank([a + b for a, b in zip(kernel, sparse)]) == k, pair
 
 
-def _accumulated_blocks(src, dst, g=None):
-    """Reference: the map phi -> ((E', F') -> phi(g E')(F')) as a dense
-    matrix, adding the module's act_matrix block of every y of the nested
-    decompositions g E' = sum E_i x_i, x_i F' = sum F_j y into its place."""
+def _accumulated_entries(src, dst, g=None):
+    """Reference: the nonzero entries of phi -> ((E', F') -> phi(g E')(F')),
+    adding the module's act_entries block of every y of the nested
+    decompositions g E' = sum E_i x_i, x_i F' = sum F_j y in NH
+    (module_decompose) into its place."""
     t = src.module.dim
-    m = zeros(dst.dim, src.dim)
+    out = {}
     for e in dst.e_set:
         moved = AlgebraElement.from_perm(e, src.cd)
         if g is not None:
@@ -602,20 +637,31 @@ def _accumulated_blocks(src, dst, g=None):
                 inner = module_decompose(src.inner_coarse, src.inner_fine, x_i * f_elem)
                 for f_j, y in inner.items():
                     col = src.block_index[compose(e_i, f_j)] * t
-                    for r, block_row in enumerate(src.module.act_matrix(y)):
-                        for c, v in enumerate(block_row):
-                            m[row + r][col + c] += v
-    return m
+                    for (r, c), v in src.module.act_entries(y).items():
+                        key = (row + r, col + c)
+                        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
-def _nonzero(m):
-    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+def _decomposed_hom_entries(space, g):
+    """Reference: the entries of HomSpace.action_entries(g), each block of
+    g alpha = sum alpha' y split in NH by module_decompose and acted on
+    by the module's act_entries."""
+    t = space.module.dim
+    out = {}
+    for row, alpha in enumerate(space.shuffles):
+        moved = g * AlgebraElement.from_perm(alpha, space.outer)
+        for aprime, y in module_decompose(space.outer, space.inner, moved).items():
+            col = space.index[aprime] * t
+            for (r, c), v in space.module.act_entries(y).items():
+                out[(row * t + r, col + c)] = v
+    return out
 
 
 def test_edge_entries_match_block_accumulation():
     """Every edge of every cube with n <= 4 (the collapse edges among
     them), and the corner actions of the twist pairs: the entries equal
-    the nonzero cells of the dense block accumulation."""
+    the block accumulation through module_decompose."""
     edges = 0
     for n in range(2, 5):
         for pair in two_part_pairs(n):
@@ -630,7 +676,7 @@ def test_edge_entries_match_block_accumulation():
                 for pos in range(dim):
                     if bits[pos] == 0:
                         bottom = vertices[bits[:pos] + (1,) + bits[pos + 1:]]
-                        ref = _nonzero(_accumulated_blocks(top, bottom))
+                        ref = _accumulated_entries(top, bottom)
                         assert realize_entries(top, bottom) == ref, (pair, bits, pos)
                         edges += 1
             if pair[1] == pair[0][::-1]:
@@ -639,9 +685,40 @@ def test_edge_entries_match_block_accumulation():
                 gens = [AlgebraElement.s_gen(n, i, (c, d)) for i in s_generators((c, d))]
                 gens += [AlgebraElement.x_gen(n, i, (c, d)) for i in range(1, n + 1)]
                 for g in gens:
-                    ref = _nonzero(_accumulated_blocks(corner, corner, g))
+                    ref = _accumulated_entries(corner, corner, g)
                     assert corner.action_entries(g) == ref, (pair, g)
     assert edges > 0
+
+
+def test_collapse_edges_match_block_accumulation_at_five_strands(monkeypatch):
+    """Every collapse edge that realized_total_fiber builds for the pairs
+    with n = 5, and the corner actions of the twist pairs, equal the block
+    accumulation through module_decompose, entry for entry and in order."""
+    real = oracle.realize_entries
+    edges = []
+
+    def checked(src, dst):
+        entries = real(src, dst)
+        ref = _accumulated_entries(src, dst)
+        assert list(entries.items()) == list(ref.items()), (
+            src.vertex.index, dst.vertex.index
+        )
+        edges.append(src.vertex.index)
+        return entries
+
+    monkeypatch.setattr(oracle, "realize_entries", checked)
+    twists = 0
+    for pair in two_part_pairs(5):
+        fib = realized_total_fiber(pair)
+        if pair[1] == pair[0][::-1]:
+            corner = fib.corner
+            for g in generators(5, pair[1]):
+                got = list(corner.action_entries(g).items())
+                assert got == list(_accumulated_entries(corner, corner, g).items()), (
+                    pair, g
+                )
+            twists += 1
+    assert twists == 4 and len(edges) > len(two_part_pairs(5))
 
 
 def test_zeroed_edge_block_breaks_split_surjectivity(monkeypatch):

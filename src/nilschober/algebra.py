@@ -331,15 +331,13 @@ def parabolic_decompose(w: Perm, tau: Composition) -> tuple[Perm, Perm]:
     on them; lengths add.  w must preserve some coarsening of tau's blocks
     for alpha to be a shuffle, but the factorization itself is generic.
     """
-    n = len(w)
-    alpha = [0] * n
-    for positions in block_positions(tau):
-        vals = sorted(w[p - 1] for p in positions)
-        for p, v in zip(positions, vals):
-            alpha[p - 1] = v
+    alpha: list[int] = []
+    start = 0
+    for part in tau:
+        alpha.extend(sorted(w[start : start + part]))
+        start += part
     alpha_t = tuple(alpha)
-    u = compose(inverse(alpha_t), w)
-    return alpha_t, u
+    return alpha_t, compose(inverse(alpha_t), w)
 
 
 def module_decompose(

@@ -3,12 +3,14 @@ Compositions of n, their binary presentations and the nine-case pair table.
 
 A composition is a tuple of positive ints; its binary presentation is the
 bit string `0^{n1-1} 1 0^{n2-1} 1 ... 0^{nk-1}` of length sum-1, read left
-to right.  Refinement corresponds to bitwise dominance of presentations.
+to right.  Refinement corresponds to bitwise dominance of presentations,
+that is, to inclusion of the sets of partial sums (the cuts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 Composition = tuple[int, ...]
 
@@ -58,8 +60,16 @@ def refines(sigma: Composition, tau: Composition) -> bool:
         raise CompositionError(
             f"compositions of different totals: {sigma} vs {tau}"
         )
-    s, t = psi(sigma), psi(tau)
-    return all(sb <= tb for sb, tb in zip(s, t))
+    return _cuts(sigma) <= _cuts(tau)
+
+
+def _cuts(sigma: Composition) -> set[int]:
+    """The partial sums of sigma below its total: the positions of the 1
+    bits of psi(sigma)."""
+    check_composition(sigma)
+    if not sigma:
+        raise CompositionError("refinement is undefined for the empty composition")
+    return set(accumulate(sigma[:-1]))
 
 
 def meet(sigma: Composition, tau: Composition) -> Composition:

@@ -3,17 +3,20 @@ Independent exact-matrix verification of the fiber engine.
 
 Vertices of Beck-Chevalley cubes are realized as coordinate spaces over a
 finite-dimensional coefficient module (nil-Coxeter by default), and edge
-maps as the nonzero entries of exact rational matrices obtained by
+maps as the nonzero entries of exact rational matrices.  One routine,
+`_two_layer_entries`, builds every edge map and every action by
 decomposing over the free right module structures NH_sigma = sum alpha
-NH_tau.  Nil-Coxeter coefficients see NH only through its quotient by the
-dots and h, where that decomposition is the parabolic factorization
-w = alpha o u of a permutation (`_NilCoxeter`); every other module goes
-through `module_decompose` in NH itself (`_NilHecke`).  Total fibers are
-iterated kernels computed on row-sparse matrices, from the edge entries
-to the final kernel; the dense `realize_map` and `action_matrix` are
-views for tests and small checks.  The Hom spaces of the adjunction check are found by spinning the domain
-module under the generator actions (`spin_hom`), so their unknowns are the
-images of a few generators rather than whole matrices.  Nothing here
+NH_tau; an induced module Ind N = Hom_{NH_tau}(NH_sigma, N) is a vertex
+with a single induction step (`HomSpace`).  Nil-Coxeter coefficients see
+NH only through its quotient by the dots and h, where that decomposition
+is the parabolic factorization w = alpha o u of a permutation
+(`_NilCoxeter`); every other module goes through `module_decompose` in NH
+itself (`_NilHecke`).  Total fibers are iterated kernels computed on
+row-sparse matrices, from the edge entries to the final kernel; the dense
+`realize_map` and `action_matrix` are views for tests and small checks.
+The Hom spaces of the adjunction check are found by spinning the domain
+module under the generator actions (`spin_hom`), so their unknowns are
+the images of a few generators rather than whole matrices.  Nothing here
 reuses the set-difference shortcut of the diagram engine, so agreement
 between the two is evidence, not tautology.
 """
@@ -77,12 +80,12 @@ class _NilHecke:
         return g
 
     @staticmethod
-    def perm(w: Perm, block: Composition) -> AlgebraElement:
-        return AlgebraElement.from_perm(w, block)
-
-    @staticmethod
-    def times(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        return a * b
+    def times_perm(
+        x: AlgebraElement | None, w: Perm, block: Composition
+    ) -> AlgebraElement:
+        """x times the crossing diagram w of NH_block; x = None is 1."""
+        y = AlgebraElement.from_perm(w, block)
+        return y if x is None else x * y
 
     @staticmethod
     def split(
@@ -107,17 +110,15 @@ class _NilCoxeter:
     lift = staticmethod(nil_coxeter_image)
 
     @staticmethod
-    def perm(w: Perm, block: Composition) -> PermTerms:
-        return [(w, ONE)]
-
-    @staticmethod
-    def times(a: PermTerms, b: PermTerms) -> PermTerms:
+    def times_perm(x: PermTerms | None, w: Perm, block: Composition) -> PermTerms:
+        """x times the crossing diagram w; x = None is 1."""
+        if x is None:
+            return [(w, ONE)]
         out = []
-        for wa, ca in a:
-            for wb, cb in b:
-                w = nil_product(wa, wb)
-                if w is not None:
-                    out.append((w, ca * cb))
+        for wx, c in x:
+            p = nil_product(wx, w)
+            if p is not None:
+                out.append((p, c))
         return out
 
     @staticmethod
@@ -142,92 +143,44 @@ def _coefficients(module):
     return _NilCoxeter if isinstance(module, NilCoxeterModule) else _NilHecke
 
 
-class HomSpace:
-    """Hom over NH_inner of maps NH_outer -> T, with its right actions.
-
-    Basis: one copy of the module per (outer, inner)-shuffle, ordered by
-    the lexicographic shuffle order.  Actions are built as sparse entries
-    (`action_entries`); `action_matrix` is their dense form.
-    """
-
-    def __init__(self, outer: Composition, inner: Composition, module):
-        if not refines(outer, inner):
-            raise OracleError(f"{inner} does not refine {outer}")
-        self.outer = outer
-        self.inner = inner
-        self.module = module
-        self.shuffles = enumerate_shuffles(outer, inner)
-        self.index = {s: i for i, s in enumerate(self.shuffles)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.shuffles) * self.module.dim
-
-    def action_entries(self, g: AlgebraElement) -> Entries:
-        """Nonzero entries {(row, col): value} of the right action of g (an
-        element of a subalgebra of NH_outer).
-
-        (phi.g)(alpha) = phi(g alpha) = sum phi(alpha') . y, so the output
-        block at alpha draws from the input blocks alpha' of the
-        decomposition g alpha = sum alpha' y.  Each (alpha, alpha') block
-        is written once, from the module's entries of y.  On a
-        `NilCoxeterModule` the decomposition is taken in the nil-Coxeter
-        quotient (`_NilCoxeter`): an s_i term of g gives at most one block
-        per alpha, and a dot none; other modules use `module_decompose`.
-        """
-        ring = _coefficients(self.module)
-        dim_t = self.module.dim
-        image = ring.lift(g)
-        out: Entries = {}
-        for row, alpha in enumerate(self.shuffles):
-            r0 = row * dim_t
-            moved = ring.times(image, ring.perm(alpha, self.outer))
-            for aprime, y in ring.split(self.outer, self.inner, moved).items():
-                c0 = self.index[aprime] * dim_t
-                for (r, c), v in ring.act(self.module, y).items():
-                    out[(r0 + r, c0 + c)] = v
-        return out
-
-    def action_matrix(self, g: AlgebraElement) -> Matrix:
-        """Right action of g: `action_entries`, dense."""
-        return from_entries(self.action_entries(g), self.dim, self.dim)
-
-
 class RealizedVertex:
-    """A Beck-Chevalley vertex over a coefficient module.
+    """A two-layer Hom space over a coefficient module T:
+    Hom_{NH_outer_fine}(NH_cd, Hom_{NH_inner_fine}(NH_inner_coarse, T)).
 
-    Coordinates follow the sorted composed-product order, one module copy
-    per product, so dimensions line up with the diagram model block by
-    block.
+    Coordinates follow the sorted composed-product order compose(E, F) of
+    an outer shuffle E and an inner shuffle F, one module copy per
+    product, so dimensions line up with the diagram model block by block.
+    Built from a Beck-Chevalley vertex, whose word gives the layers
+    (`vertex_hom_layers`) and whose products are checked against
+    `word_factorizations`; `HomSpace` is the one-layer case.
     """
 
     def __init__(self, vertex: BCVertex, module):
-        self.vertex = vertex
-        self.module = module
-        (self.cd, self.outer_fine), (self.inner_coarse, self.inner_fine) = (
-            vertex_hom_layers(vertex.word)
-        )
-        self.e_set = enumerate_shuffles(self.cd, self.outer_fine)
-        self.f_set = enumerate_shuffles(self.inner_coarse, self.inner_fine)
-        self.pair_of_product = word_factorizations(vertex.word)
-        self.products = tuple(sorted(self.pair_of_product))
-        if self.products != vertex.products:
+        products = tuple(sorted(word_factorizations(vertex.word)))
+        if products != vertex.products:
             raise OracleError(
                 f"realized products disagree with the word products at "
                 f"{vertex.index}"
             )
-        self.block_index = {w: i for i, w in enumerate(self.products)}
+        self.vertex = vertex
+        self._set_layers(vertex_hom_layers(vertex.word), products, module)
+
+    def _set_layers(
+        self, layers: tuple[Pair, Pair], products: tuple[Perm, ...], module
+    ) -> None:
+        (self.cd, self.outer_fine), (self.inner_coarse, self.inner_fine) = layers
+        self.module = module
+        self.e_set = enumerate_shuffles(self.cd, self.outer_fine)
+        self.f_set = enumerate_shuffles(self.inner_coarse, self.inner_fine)
+        self.products = products
+        self.block_index = {w: i for i, w in enumerate(products)}
 
     @property
     def dim(self) -> int:
         return len(self.products) * self.module.dim
 
-    @property
-    def n(self) -> int:
-        return total(self.cd)
-
     def action_entries(self, g: AlgebraElement) -> Entries:
-        """Right action of g in NH_{(c,d)}: (phi.g)(E)(F) = phi(g E)(F).
+        """Right action of g in NH_cd: (phi.g)(E)(F) = phi(g E)(F).
 
         The output block at (E, F) draws from the input blocks (E_i, F_j)
         of the nested decompositions g E = sum E_i x_i, x_i F = sum F_j y.
@@ -237,6 +190,28 @@ class RealizedVertex:
     def action_matrix(self, g: AlgebraElement) -> Matrix:
         """Right action of g: `action_entries`, dense."""
         return from_entries(self.action_entries(g), self.dim, self.dim)
+
+
+class HomSpace(RealizedVertex):
+    """Hom over NH_inner of maps NH_outer -> T, the induced module of T.
+
+    A realized vertex with the layers ((outer, inner), (inner, inner)): one
+    induction step, whose blocks are the (outer, inner)-shuffles in
+    lexicographic order (`shuffles`, `index`).  Its right actions are the
+    vertex actions: (phi.g)(alpha) = phi(g alpha) = sum phi(alpha') . y
+    over the decomposition g alpha = sum alpha' y.
+    """
+
+    def __init__(self, outer: Composition, inner: Composition, module):
+        if not refines(outer, inner):
+            raise OracleError(f"{inner} does not refine {outer}")
+        shuffles = enumerate_shuffles(outer, inner)
+        self._set_layers(((outer, inner), (inner, inner)), shuffles, module)
+        self.outer, self.inner = outer, inner
+        self.shuffles, self.index = shuffles, self.block_index
+
+    # bound in this class's own namespace, as perfbench/tracer.py patches it
+    action_matrix = RealizedVertex.action_matrix
 
 
 def realize_map(src: RealizedVertex, dst: RealizedVertex) -> Matrix:
@@ -270,33 +245,34 @@ def _two_layer_entries(
 ) -> Entries:
     """Nonzero entries of phi -> ((E', F') -> phi(g E')(F')), from src to
     dst coordinates, decomposing over the src layers; g = None is the
-    identity.  Different (E_i, F_j) can land on one block, so entries are
-    summed and the cancelled ones dropped at the end.  Both layers are
-    decomposed in the coefficients of the module (`_coefficients`): the
-    nil-Coxeter quotient for a `NilCoxeterModule`, `module_decompose`
-    otherwise."""
+    identity.  Edge maps, vertex actions and, through `HomSpace`, the
+    actions of induced modules all come from here.  Both layers are split
+    in the coefficients of the module (`_coefficients`); an E' whose g E'
+    splits to nothing (a dot on a nil-Coxeter module) writes no row.
+    Different (E_i, F_j) can land on one block, so entries are summed and
+    the cancelled ones dropped at the end."""
     module = src.module
     ring = _coefficients(module)
     dim_t = module.dim
     image = None if g is None else ring.lift(g)
     out: Entries = {}
     for e in dst.e_set:
-        moved = ring.perm(e, src.cd)
-        if image is not None:
-            moved = ring.times(image, moved)
-        outer = ring.split(src.cd, src.outer_fine, moved)
+        outer = ring.split(src.cd, src.outer_fine, ring.times_perm(image, e, src.cd))
+        if not outer:
+            continue
         for f in dst.f_set:
             r0 = dst.block_index[compose(e, f)] * dim_t
-            f_elem = ring.perm(f, src.inner_coarse)
             for e_i, x_i in outer.items():
                 inner = ring.split(
-                    src.inner_coarse, src.inner_fine, ring.times(x_i, f_elem)
+                    src.inner_coarse,
+                    src.inner_fine,
+                    ring.times_perm(x_i, f, src.inner_coarse),
                 )
                 for f_j, y in inner.items():
                     c0 = src.block_index[compose(e_i, f_j)] * dim_t
                     for (r, c), v in ring.act(module, y).items():
                         key = (r0 + r, c0 + c)
-                        out[key] = out.get(key, 0) + v
+                        out[key] = out[key] + v if key in out else v
     return {key: v for key, v in out.items() if v}
 
 
@@ -381,7 +357,7 @@ def oracle_matches_diagram(
     pair: Pair, realized: RealizedFiber | None = None, report=None
 ) -> bool:
     """Criterion: matrix fiber dimension equals diagram rank x dim T at
-    every level and every index.
+    every level and every index, with as many levels on either side.
 
     `realized` (the pair's `realized_total_fiber`, over any module; over
     the nil-Coxeter module of `pair[0]` when not given) and `report` (its
@@ -395,6 +371,8 @@ def oracle_matches_diagram(
         report = total_fiber(pair)
     if realized.pair != pair or report.pair != pair:
         raise OracleError(f"fibers given for another pair than {pair}")
+    if len(report.levels) != len(realized.level_dims):
+        return False
     for cube, dims in zip(report.levels, realized.level_dims):
         for index, codes in cube.codes.items():
             if dims[index] != len(codes) * realized.module_dim:
@@ -411,17 +389,16 @@ def flip_action_check(pair: Pair, realized: RealizedFiber | None = None) -> bool
     generator on the nil-Coxeter module, as iota . restricted ==
     expected . iota on sparse rows.  `realized`, when given, is the pair's
     realized fiber on that nil-Coxeter module, used instead of being
-    computed again.
+    computed again, and its module is the one the check acts on.
     """
     (a, b), (c, d) = pair
     if (c, d) != (b, a):
         raise OracleError(f"flip check needs a twist pair, got {pair}")
-    module = NilCoxeterModule((a, b))
     if realized is None:
-        realized = realized_total_fiber(pair, module)
-    elif realized.pair != pair or not (
-        isinstance(realized.corner.module, NilCoxeterModule)
-        and realized.corner.module.tau == (a, b)
+        realized = realized_total_fiber(pair, NilCoxeterModule((a, b)))
+    module = realized.corner.module
+    if realized.pair != pair or not (
+        isinstance(module, NilCoxeterModule) and module.tau == (a, b)
     ):
         raise OracleError(f"realized fiber is not {pair}'s on NH_{(a, b)}")
     kernel = realized.kernel

@@ -18,11 +18,15 @@ def wrapped_names() -> tuple[tuple[str, str], ...]:
 
 
 def test_every_wrapped_name_is_bound():
+    """A dotted name is a method, which the tracer patches from its class's
+    own `__dict__`: an inherited method is not enough."""
     names = wrapped_names()
     assert names
     for module, attr in names:
         obj = importlib.import_module(f"nilschober.{module}")
         for part in attr.split("."):
             assert hasattr(obj, part), f"nilschober.{module}.{attr}"
-            obj = getattr(obj, part)
+            owner, obj = obj, getattr(obj, part)
         assert callable(obj), f"nilschober.{module}.{attr}"
+        if "." in attr:
+            assert part in vars(owner), f"nilschober.{module}.{attr} is inherited"

@@ -97,8 +97,26 @@ def test_refines_examples():
     assert refines((5,), (2, 3))
     assert refines((2, 3), (2, 3))
     assert not refines((2, 3), (3, 2))
-    with pytest.raises(CompositionError):
+
+
+def test_refines_rejects_unequal_totals():
+    with pytest.raises(CompositionError, match="different totals"):
         refines((2, 3), (2, 2))
+    with pytest.raises(CompositionError, match="different totals"):
+        refines((1,), ())
+
+
+@pytest.mark.parametrize(
+    "sigma, tau", [((2, 0, 1), (3,)), ((3,), (2, 0, 1)), ((-1, 2), (1,))]
+)
+def test_refines_rejects_non_positive_parts(sigma, tau):
+    with pytest.raises(CompositionError, match="positive"):
+        refines(sigma, tau)
+
+
+def test_refines_rejects_empty_compositions():
+    with pytest.raises(CompositionError, match="empty"):
+        refines((), ())
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -137,19 +137,20 @@ def parse_composition(text: str) -> Composition:
 
 Pair = tuple[Composition, Composition]
 
-# tags of the a >= c case table; Mirror* are the a < c cases, obtained by
-# reversing both compositions and swapping them
-CASE_TAGS = (
-    "AC_Unbal", "AA", "CA_Unbal", "Swap", "OverLeft", "OverRight",
-    "MirrorSwap", "MirrorOverLeft", "MirrorOverRight",
-)
+# (l > 0, sign of m) -> tag of the a >= c case table; an a < c pair takes
+# "Mirror" and the tag of its mirror, whose l is always positive
+_TAGS = {
+    (False, 1): "AC_Unbal", (False, 0): "AA", (False, -1): "CA_Unbal",
+    (True, 0): "Swap", (True, -1): "OverLeft", (True, 1): "OverRight",
+}
 
 
 @dataclass(frozen=True)
 class PairCase:
     """One of the nine shapes a pair of two-part compositions can take.
 
-    For Mirror* tags the parameters are those of the mirrored (a > c) case.
+    The parameters are k (named c, a or b), then |m|, then l, each only
+    when nonzero; for Mirror* tags they are those of the mirrored pair.
     """
 
     tag: str
@@ -169,11 +170,12 @@ def mirror_pair(pair: Pair) -> Pair:
     return ((b, a), (d, c))
 
 
-def classify_pair(ab: Composition, cd: Composition) -> PairCase:
-    """The unique case tag of the pair, with recovered parameters.
+def pair_shape(ab: Composition, cd: Composition) -> tuple[bool, int, int, int]:
+    """(mirrored, k, l, m) of a pair of two-part compositions.
 
-    >>> classify_pair((2, 3), (2, 3))
-    PairCase(tag='AC_Unbal', params=(('c', 2), ('m', 1)))
+    A pair ((a, b), (c, d)) with a >= c has k = min(b, c), l = a - c and
+    m = b - c.  A pair with a < c is mirrored and has the numbers of its
+    mirror, which has a > c.
     """
     if len(ab) != 2 or len(cd) != 2:
         raise CompositionError(f"need two-part compositions: {ab}, {cd}")
@@ -181,64 +183,31 @@ def classify_pair(ab: Composition, cd: Composition) -> PairCase:
     check_composition(cd)
     if total(ab) != total(cd):
         raise CompositionError(f"totals differ: {ab} vs {cd}")
-    a, b = ab
-    c, d = cd
-    if a == c:
-        if b > a:
-            if (a, b) != (c, d):
-                raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-            return PairCase("AC_Unbal", (("c", a), ("m", b - a)))
-        if b == a:
-            return PairCase("AA", (("a", a),))
-        if (a, b) != (c, d):
-            raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-        return PairCase("CA_Unbal", (("b", b), ("m", a - b)))
-    if a > c:
-        if b == c:
-            # ((c+l, c), (c, c+l))
-            if d != a:
-                raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-            return PairCase("Swap", (("c", c), ("l", a - c)))
-        if b < c:
-            # ((b+m+l, b), (b+m, b+l))
-            m, l = c - b, d - b
-            if (a, d) != (b + m + l, b + l):
-                raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-            return PairCase("OverLeft", (("b", b), ("m", m), ("l", l)))
-        # b > c: ((c+l, c+m), (c, c+m+l))
-        l, m = a - c, b - c
-        if d != c + m + l:
-            raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-        return PairCase("OverRight", (("c", c), ("m", m), ("l", l)))
-    # a < c: classify the mirror and wrap the tag
-    inner = classify_pair(*mirror_pair((ab, cd)))
-    if inner.tag not in ("Swap", "OverLeft", "OverRight"):
-        raise CompositionError(f"unclassifiable pair: {ab}, {cd}")
-    return PairCase("Mirror" + inner.tag, inner.params)
+    mirrored = ab[0] < cd[0]
+    (a, b), (c, _) = mirror_pair((ab, cd)) if mirrored else (ab, cd)
+    return mirrored, min(b, c), a - c, b - c
+
+
+def classify_pair(ab: Composition, cd: Composition) -> PairCase:
+    """The unique case tag of the pair, with recovered parameters.
+
+    >>> classify_pair((2, 3), (2, 3))
+    PairCase(tag='AC_Unbal', params=(('c', 2), ('m', 1)))
+    """
+    mirrored, k, l, m = pair_shape(ab, cd)
+    key = "b" if m < 0 else "c" if l or m else "a"
+    params = tuple((name, v) for name, v in ((key, k), ("m", abs(m)), ("l", l)) if v)
+    return PairCase("Mirror" * mirrored + _TAGS[l > 0, (m > 0) - (m < 0)], params)
 
 
 def reconstruct_pair(case: PairCase) -> Pair:
     """The pair a case came from; inverse of `classify_pair`."""
+    tag = case.tag.removeprefix("Mirror")
+    signs = [sign for (_, sign), t in _TAGS.items() if t == tag]
+    if not signs:
+        raise CompositionError(f"unknown case tag {case.tag!r}")
     p = dict(case.params)
-    if case.tag == "AC_Unbal":
-        c, m = p["c"], p["m"]
-        return ((c, c + m), (c, c + m))
-    if case.tag == "AA":
-        a = p["a"]
-        return ((a, a), (a, a))
-    if case.tag == "CA_Unbal":
-        b, m = p["b"], p["m"]
-        return ((b + m, b), (b + m, b))
-    if case.tag == "Swap":
-        c, l = p["c"], p["l"]
-        return ((c + l, c), (c, c + l))
-    if case.tag == "OverLeft":
-        b, m, l = p["b"], p["m"], p["l"]
-        return ((b + m + l, b), (b + m, b + l))
-    if case.tag == "OverRight":
-        c, m, l = p["c"], p["m"], p["l"]
-        return ((c + l, c + m), (c, c + m + l))
-    if case.mirrored:
-        inner = PairCase(case.tag.removeprefix("Mirror"), case.params)
-        return mirror_pair(reconstruct_pair(inner))
-    raise CompositionError(f"unknown case tag {case.tag!r}")
+    k, m, l = case.params[0][1], signs[0] * p.get("m", 0), p.get("l", 0)
+    c = k - min(m, 0)
+    pair = ((c + l, c + m), (c, c + m + l))
+    return mirror_pair(pair) if case.mirrored else pair

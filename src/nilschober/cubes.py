@@ -2,9 +2,11 @@
 Bifactorization cubes and Beck-Chevalley vertices as functor words.
 
 A bifactorization cube assigns a composition (standing for its module
-category) to every vertex of {0,1}^d via a per-case binary formula.  The
-Beck-Chevalley cube's vertices are 5-row functor words: restriction steps
-go coarse-to-fine, induction steps fine-to-coarse, composed top to bottom.
+category) to every vertex of {0,1}^d.  One layout, set by the three numbers
+(k, l, m) of the pair, serves all nine cases: each psi bit of a vertex is
+the OR of some of its axis bits.  The Beck-Chevalley cube's vertices are
+5-row functor words: restriction steps go coarse-to-fine, induction steps
+fine-to-coarse, composed top to bottom.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .compositions import (
     Pair,
     PairCase,
     classify_pair,
+    pair_shape,
     psi_inv,
     refines,
     total,
@@ -29,84 +32,30 @@ class CubeError(ValueError):
     pass
 
 
-def _axis_names(case: PairCase) -> tuple[str, ...]:
-    p = dict(case.params)
-    tag = case.tag.removeprefix("Mirror")
-    eps = lambda k: tuple(f"eps{i}" for i in range(1, k))
-    etas = lambda k: tuple(f"eta{i}" for i in range(1, k))
-    if tag == "AC_Unbal":
-        return ("delta1", "delta2", *eps(p["c"]), "zeta", *etas(p["m"]))
-    if tag == "AA":
-        return ("delta1", "delta2", *eps(p["a"]))
-    if tag in ("CA_Unbal", "OverLeft"):
-        return ("delta1", "delta2", "zeta", *eps(p["b"]))
-    if tag == "Swap":
-        return ("delta1", "delta2", *eps(p["c"]))
-    if tag == "OverRight":
-        return ("delta1", "delta2", *eps(p["c"]), "zeta")
-    raise CubeError(f"unknown case tag {case.tag!r}")
-
-
-def _vertex_bits(case: PairCase, index: dict[str, int]) -> str:
-    """The binary formula of the a >= c case families."""
-    p = dict(case.params)
-    d1, d2 = index["delta1"], index["delta2"]
-    tag = case.tag
-    eps = lambda k: [index[f"eps{i}"] for i in range(1, k)]
-    if tag == "AC_Unbal":
-        e = eps(p["c"])
-        mid = [d1 | d2]
-        return _bits(e + mid + e[::-1] + [index["zeta"]] + [0] * (p["m"] - 1))
-    if tag == "AA":
-        e = eps(p["a"])
-        return _bits(e + [d1 | d2] + e[::-1])
-    if tag == "CA_Unbal":
-        e = eps(p["b"])
-        return _bits([0] * (p["m"] - 1) + [index["zeta"]] + e + [d1 | d2] + e[::-1])
-    if tag == "Swap":
-        e = eps(p["c"])
-        return _bits(e + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1])
-    if tag == "OverLeft":
-        e = eps(p["b"])
-        return _bits(
-            [0] * (p["m"] - 1) + [index["zeta"]] + e
-            + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1]
-        )
-    if tag == "OverRight":
-        e = eps(p["c"])
-        return _bits(
-            e + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1]
-            + [index["zeta"]] + [0] * (p["m"] - 1)
-        )
-    raise CubeError(f"no direct formula for case {tag!r}")
-
-
-def _bits(vals: list[int]) -> str:
-    return "".join(str(v) for v in vals)
-
-
 @dataclass(frozen=True)
 class CubeSpec:
     """A bifactorization cube: vertex compositions over {0,1}^d.
 
-    For a < c pairs the cube is the mirror of the matching a > c cube:
-    every vertex composition is reversed, per the symmetry of the
-    construction.
+    `layout` holds one axis mask per psi bit of a vertex: the bit is set
+    when one of the masked axes is.  For a < c pairs the layout is the
+    reversed layout of the mirror pair, so that every vertex composition
+    is the reversed one, per the symmetry of the construction.
     """
 
     pair: Pair
     case: PairCase
-    dim: int
     axis_names: tuple[str, ...]
+    layout: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.axis_names)
 
     def vertex(self, index: tuple[int, ...]) -> Composition:
         if len(index) != self.dim or any(b not in (0, 1) for b in index):
             raise CubeError(f"bad cube index {index} for dimension {self.dim}")
-        named = dict(zip(self.axis_names, index))
-        if self.case.mirrored:
-            inner = PairCase(self.case.tag.removeprefix("Mirror"), self.case.params)
-            return tuple(reversed(psi_inv(_vertex_bits(inner, named))))
-        return psi_inv(_vertex_bits(self.case, named))
+        mask = sum(b << axis for axis, b in enumerate(index))
+        return psi_inv("".join("1" if bit & mask else "0" for bit in self.layout))
 
     def bc_axes(self) -> tuple[str, ...]:
         """Axes of the Beck-Chevalley cube: the non-delta axes, then the
@@ -117,13 +66,29 @@ class CubeSpec:
 def build_bifactorization(pair: Pair) -> CubeSpec:
     """The bifactorization cube of a pair of two-part compositions.
 
+    With (k, l, m) from `pair_shape`, a vertex has the psi bits
+    0^(|m|-1) zeta (if m < 0), eps_1 .. eps_{k-1}, then delta1 | delta2
+    (if l = 0) or delta1 0^(l-1) delta2, then eps_{k-1} .. eps_1, and
+    zeta 0^(m-1) (if m > 0).  The axes are delta1, delta2 and the named
+    bits in order of appearance; the AC_Unbal cubes (l = 0 < m) add m-1
+    dummy axes eta_i, which no bit reads.
+
     >>> cube = build_bifactorization(((1, 2), (2, 1)))
     >>> [cube.vertex(i) for i in [(0, 0), (0, 1), (1, 0), (1, 1)]]
     [(3,), (1, 2), (2, 1), (1, 1, 1)]
     """
-    case = classify_pair(*pair)
-    names = _axis_names(case)
-    cube = CubeSpec(pair, case, len(names), names)
+    mirrored, k, l, m = pair_shape(*pair)
+    eps = [(f"eps{i}",) for i in range(1, k)]
+    gap = [()] * (l - 1)
+    delta = [("delta1", "delta2")] if l == 0 else [("delta1",), *gap, ("delta2",)]
+    zeta = [("zeta",), *[()] * (abs(m) - 1)] if m else []  # reversed when m < 0
+    bits = zeta[::-1] * (m < 0) + eps + delta + eps[::-1] + zeta * (m > 0)
+    names = ["delta1", "delta2", *(name for bit in bits for name in bit)]
+    if l == 0 < m:
+        names += [f"eta{i}" for i in range(1, m)]
+    axes = tuple(dict.fromkeys(names))
+    layout = tuple(sum(1 << axes.index(name) for name in bit) for bit in bits)
+    cube = CubeSpec(pair, classify_pair(*pair), axes, layout[::-1] if mirrored else layout)
     if cube.vertex((0, 1) + (0,) * (cube.dim - 2)) != pair[0]:
         raise CubeError(f"cube boundary mismatch at (0,1,0...) for {pair}")
     if cube.vertex((1, 0) + (0,) * (cube.dim - 2)) != pair[1]:

@@ -12,7 +12,8 @@ import json
 import time
 from typing import Any
 
-from .compositions import CASE_TAGS, Pair, all_compositions, refinement_pairs
+from .compositions import Pair, all_compositions, classify_pair, refinement_pairs
+from .cubes import build_bifactorization
 from .fiber import (
     FiberReport,
     check_far_commutativity,
@@ -50,8 +51,13 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
     for sigma, tau in refinement_pairs(n_total):
         # induction is a finite free right adjoint: every refinement edge's
         # shuffle basis exists with the multinomial rank
-        if len(enumerate_shuffles(sigma, tau)) != shuffle_count(sigma, tau):
+        size, count = len(enumerate_shuffles(sigma, tau)), shuffle_count(sigma, tau)
+        if size != count:
             adjunct = False
+            failures.append(
+                f"shuffle basis of {sigma} <= {tau} has {size} elements, "
+                f"multinomial {count}"
+            )
         if n_total <= max_oracle and not check_adjunction(sigma, tau):
             adjunct = False
             failures.append(f"adjunction fails at {sigma} <= {tau}")
@@ -170,12 +176,12 @@ def build_report(
     with_timing: bool = False,
 ) -> dict[str, Any]:
     t0 = time.perf_counter()
-    globals_ok, failures = _global_checks(n_total, max_oracle)
     pairs = two_part_pairs(n_total)
     if pair_filter is not None:
         if pair_filter not in pairs:
             raise ReportError(f"pair {pair_filter} is not a pair for n={n_total}")
         pairs = [pair_filter]
+    globals_ok, failures = _global_checks(n_total, max_oracle)
     entries = [_pair_entry(p, globals_ok, failures, max_oracle) for p in pairs]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -233,6 +239,7 @@ def validate_report(doc: dict[str, Any]) -> None:
         "bad timing",
     )
     _require(isinstance(doc.get("pairs"), list), "pairs must be a list")
+    seen: set[Pair] = set()
     for entry in doc["pairs"]:
         _require(isinstance(entry, dict), "pair entry must be an object")
         pair = entry.get("pair")
@@ -242,21 +249,26 @@ def validate_report(doc: dict[str, Any]) -> None:
             and all(
                 isinstance(c, list)
                 and len(c) == 2
-                and all(_is_int(p) for p in c)
+                and all(_is_int(p) and p >= 1 for p in c)
                 and sum(c) == n_total
                 for c in pair.values()
             ),
             "bad pair field",
         )
+        pair = (tuple(pair["ab"]), tuple(pair["cd"]))
+        _require(pair not in seen, f"pair {pair} listed twice")
+        seen.add(pair)
+        expected = classify_pair(*pair)
         case = entry.get("case")
         _require(
             isinstance(case, dict)
-            and case.get("tag") in CASE_TAGS
+            and case.get("tag") == expected.tag
             and isinstance(case.get("params"), dict)
-            and all(_is_int(v) for v in case["params"].values()),
+            and all(_is_int(v) for v in case["params"].values())
+            and case["params"] == dict(expected.params),
             "bad case field",
         )
-        _require(isinstance(entry.get("mirrored"), bool), "bad mirrored flag")
+        _require(entry.get("mirrored") is expected.mirrored, "bad mirrored flag")
         _require(
             entry.get("verdict") in ("Vanishes", "FlipEquivalence", "Other"),
             "bad verdict",
@@ -273,14 +285,17 @@ def validate_report(doc: dict[str, Any]) -> None:
                 f"residual {w} is not a permutation",
             )
         tables = entry.get("level_tables")
-        _require(isinstance(tables, list) and tables, "bad level tables")
-        for table in tables:
+        levels = range(len(build_bifactorization(pair).bc_axes()), -1, -1)
+        order = f"level tables must run from {levels[0]} down to 0"
+        _require(isinstance(tables, list) and len(tables) == len(levels), order)
+        for level, table in zip(levels, tables):
             _require(
                 isinstance(table, dict)
                 and _is_int(table.get("level"))
                 and isinstance(table.get("entries"), list),
                 "bad level table",
             )
+            _require(table["level"] == level, order)
             for cell in table["entries"]:
                 _require(
                     isinstance(cell, dict)

@@ -152,7 +152,7 @@ def test_classify_rejects():
         classify_pair((1, 2), (2, 2))
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 41))
 def test_classify_total_and_reconstructs(n):
     comps = [(a, n - a) for a in range(1, n)]
     for ab in comps:

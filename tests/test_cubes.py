@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import nilschober.cubes as cubes_mod
-from nilschober.compositions import classify_pair, psi, refines
+from nilschober.compositions import PairCase, classify_pair, psi, psi_inv, refines
 from nilschober.cubes import (
     CubeError,
     FunctorWord,
@@ -198,3 +198,96 @@ def test_repeated_shuffle_is_a_collision(monkeypatch):
     cube = build_bifactorization(((1, 2), (2, 1)))
     with pytest.raises(CubeError, match="collide"):
         bc_vertex(cube, (), 0)
+
+
+# The paper's per-case formulas, one branch per a >= c tag, as the
+# reference for the single (k, l, m) layout of `build_bifactorization`.
+
+
+def _reference_axis_names(case):
+    p = dict(case.params)
+    tag = case.tag.removeprefix("Mirror")
+    eps = lambda k: tuple(f"eps{i}" for i in range(1, k))
+    etas = lambda k: tuple(f"eta{i}" for i in range(1, k))
+    if tag == "AC_Unbal":
+        return ("delta1", "delta2", *eps(p["c"]), "zeta", *etas(p["m"]))
+    if tag == "AA":
+        return ("delta1", "delta2", *eps(p["a"]))
+    if tag in ("CA_Unbal", "OverLeft"):
+        return ("delta1", "delta2", "zeta", *eps(p["b"]))
+    if tag == "Swap":
+        return ("delta1", "delta2", *eps(p["c"]))
+    assert tag == "OverRight"
+    return ("delta1", "delta2", *eps(p["c"]), "zeta")
+
+
+def _reference_vertex_bits(case, index):
+    p = dict(case.params)
+    d1, d2 = index["delta1"], index["delta2"]
+    tag = case.tag
+    eps = lambda k: [index[f"eps{i}"] for i in range(1, k)]
+    if tag == "AC_Unbal":
+        e = eps(p["c"])
+        bits = e + [d1 | d2] + e[::-1] + [index["zeta"]] + [0] * (p["m"] - 1)
+    elif tag == "AA":
+        e = eps(p["a"])
+        bits = e + [d1 | d2] + e[::-1]
+    elif tag == "CA_Unbal":
+        e = eps(p["b"])
+        bits = [0] * (p["m"] - 1) + [index["zeta"]] + e + [d1 | d2] + e[::-1]
+    elif tag == "Swap":
+        e = eps(p["c"])
+        bits = e + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1]
+    elif tag == "OverLeft":
+        e = eps(p["b"])
+        bits = (
+            [0] * (p["m"] - 1) + [index["zeta"]] + e
+            + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1]
+        )
+    else:
+        assert tag == "OverRight"
+        e = eps(p["c"])
+        bits = (
+            e + [d1] + [0] * (p["l"] - 1) + [d2] + e[::-1]
+            + [index["zeta"]] + [0] * (p["m"] - 1)
+        )
+    return "".join(map(str, bits))
+
+
+def _reference_vertex(case, names, index):
+    named = dict(zip(names, index))
+    if case.mirrored:
+        inner = PairCase(case.tag.removeprefix("Mirror"), case.params)
+        return tuple(reversed(psi_inv(_reference_vertex_bits(inner, named))))
+    return psi_inv(_reference_vertex_bits(case, named))
+
+
+def test_layout_matches_the_per_case_formulas():
+    """Axis names and every vertex of every cube up to 12 strands agree
+    with the per-case formulas."""
+    for n in range(2, 13):
+        for pair in two_part_pairs(n):
+            cube = build_bifactorization(pair)
+            case = classify_pair(*pair)
+            assert cube.axis_names == _reference_axis_names(case), pair
+            for index in product((0, 1), repeat=cube.dim):
+                expected = _reference_vertex(case, cube.axis_names, index)
+                assert cube.vertex(index) == expected, (pair, index)
+
+
+def test_eta_axes_leave_every_vertex_unchanged():
+    """The dummy eta axes of an AC_Unbal cube (l = 0 < m) are read by no
+    bit: flipping one never moves a vertex."""
+    flips = 0
+    for n in range(2, 9):
+        for pair in two_part_pairs(n):
+            cube = build_bifactorization(pair)
+            names = cube.axis_names
+            etas = [i for i, name in enumerate(names) if name.startswith("eta")]
+            assert bool(etas) == (cube.case.tag == "AC_Unbal" and cube.case["m"] > 1)
+            for index in product((0, 1), repeat=cube.dim):
+                for axis in etas:
+                    flipped = index[:axis] + (1 - index[axis],) + index[axis + 1 :]
+                    assert cube.vertex(flipped) == cube.vertex(index), (pair, index)
+                    flips += 1
+    assert flips > 0

@@ -247,9 +247,8 @@ def test_report_validation_rejects_non_objects(where):
 
 
 def test_from_json_rejects_malformed_cases():
-    """A case tag outside compositions.CASE_TAGS, or case parameters that
-    are not integers, is a ReportError; every case of a real report
-    passes."""
+    """A case tag or parameters other than `classify_pair` of the entry's
+    pair is a ReportError; every case of a real report passes."""
     doc = json.loads(to_json(build_report(4, max_oracle=0)))
     validate_report(doc)
     corrupt = [("tag", tag) for tag in ("Nonsense", "", None, 3)]
@@ -259,6 +258,68 @@ def test_from_json_rejects_malformed_cases():
         bad["pairs"][0]["case"][key] = value
         with pytest.raises(ReportError, match="bad case field"):
             from_json(json.dumps(bad))
+
+
+def test_from_json_rejects_a_case_of_another_pair():
+    """A well-formed case that belongs to a different pair, or a mirrored
+    flag that disagrees with it, is a ReportError."""
+    doc = json.loads(to_json(build_report(4, max_oracle=0)))
+    first, other = doc["pairs"][0], doc["pairs"][-1]
+    assert first["case"] != other["case"]
+    bad = json.loads(json.dumps(doc))
+    bad["pairs"][0]["case"] = other["case"]
+    with pytest.raises(ReportError, match="bad case field"):
+        from_json(json.dumps(bad))
+    bad = json.loads(json.dumps(doc))
+    bad["pairs"][0]["mirrored"] = not first["mirrored"]
+    with pytest.raises(ReportError, match="bad mirrored flag"):
+        from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("ab", [[0, 3], [-1, 4], [3, 0]])
+def test_from_json_rejects_nonpositive_pair_parts(ab):
+    """A pair part below 1 is a ReportError, not a CompositionError."""
+    doc = json.loads(to_json(build_report(3, max_oracle=0)))
+    doc["pairs"][0]["pair"]["ab"] = ab
+    with pytest.raises(ReportError, match="bad pair field"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda tables: tables.insert(0, json.loads(json.dumps(tables[0]))),
+        lambda tables: tables.reverse(),
+        lambda tables: tables.pop(),
+        lambda tables: tables.pop(0),
+    ],
+    ids=["duplicated", "reversed", "truncated bottom", "truncated top"],
+)
+def test_from_json_rejects_misordered_level_tables(corrupt):
+    """The level tables run from the Beck-Chevalley cube's axis count
+    down to 0, once each."""
+    doc = json.loads(to_json(build_report(4, max_oracle=0)))
+    corrupt(doc["pairs"][0]["level_tables"])
+    with pytest.raises(ReportError, match="level tables must run from 3 down to 0"):
+        from_json(json.dumps(doc))
+
+
+def test_from_json_rejects_a_repeated_pair():
+    doc = json.loads(to_json(build_report(3, max_oracle=0)))
+    doc["pairs"].append(json.loads(json.dumps(doc["pairs"][1])))
+    with pytest.raises(ReportError, match=r"pair \(\(1, 2\), \(2, 1\)\) listed twice"):
+        from_json(json.dumps(doc))
+
+
+def test_bad_pair_filter_is_rejected_before_the_global_sweep(monkeypatch):
+    import nilschober.report as report_mod
+
+    def sweep(*args):
+        raise AssertionError("the global sweep ran")
+
+    monkeypatch.setattr(report_mod, "_global_checks", sweep)
+    with pytest.raises(ReportError, match="is not a pair for n=4"):
+        build_report(4, pair_filter=((1, 2), (2, 1)), max_oracle=6)
 
 
 def _level_2_entries(doc):

@@ -395,8 +395,9 @@ def test_forced_failures_keep_their_order(monkeypatch):
 
 
 def test_structural_adjunction_failure_still_runs_the_oracle(monkeypatch):
-    """A shuffle basis of the wrong size fails adjunctability without a
-    failure line, and the matrix adjunction still runs on every pair."""
+    """A shuffle basis of the wrong size fails adjunctability with a
+    failure line that names it, and the matrix adjunction still runs on
+    every pair."""
     calls = []
     real_adj = oracle.check_adjunction
     real_count = report.shuffle_count
@@ -413,7 +414,9 @@ def test_structural_adjunction_failure_still_runs_the_oracle(monkeypatch):
     doc = build_report(4)
     assert len(calls) == 27
     for entry in doc["pairs"]:
-        assert entry["failures"] == []
+        assert entry["failures"] == [
+            "shuffle basis of (2, 2) <= (1, 1, 1, 1) has 4 elements, multinomial 5"
+        ]
         assert entry["checks"]["adjunctability"] is False
         assert entry["checks"]["recursiveness"]
         assert entry["checks"]["far_commutativity"]

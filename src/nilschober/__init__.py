@@ -2,7 +2,6 @@
 
 from .algebra import (
     AlgebraElement,
-    HPoly,
     NilCoxeterModule,
     TruncatedPolyModule,
     flip_iso,

@@ -2,8 +2,10 @@
 The NilHecke strand-diagram algebras NH_tau over exact h-polynomials.
 
 Basis elements are dotted diagrams X_1^{k_1}...X_n^{k_n} * w with the dots
-sitting above the permutation w.  Products stack the left factor on top of
-the right one and are rewritten to normal form with the three relations
+sitting above the permutation w.  An element is one flat term map
+{(e, dots, w): c}, with c the nonzero rational coefficient of h^e X^dots w.
+Products stack the left factor on top of the right one and are rewritten to
+normal form with the three relations
 
     s_i^2 = 0,
     X_i s_i - s_i X_{i+1} = h   and   s_i X_i - X_{i+1} s_i = h,
@@ -12,13 +14,14 @@ the right one and are rewritten to normal form with the three relations
 where h is the central deformation parameter.  Every product of basis
 elements terminates in polynomial h-corrections, so coefficients are exact
 polynomials in h over the rationals - the completed base ring is never
-needed.
+needed.  `generators` lists the crossings, the dots and h.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .compositions import (
     Composition,
@@ -28,7 +31,7 @@ from .compositions import (
     refines,
     total,
 )
-from .linalg import Entries, Matrix, from_entries
+from .linalg import ONE, Entries, Matrix, from_entries
 from .perms import (
     Perm,
     adjacent_transposition,
@@ -42,84 +45,8 @@ from .perms import (
 from .shuffles import enumerate_shuffles
 
 
-class HPoly:
-    """Polynomial in h with Fraction coefficients; no stored zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        self.coeffs = {
-            e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0
-        }
-
-    @classmethod
-    def _of(cls, coeffs: dict[int, Fraction]) -> "HPoly":
-        """Trusted constructor for coefficients that are already Fractions,
-        as the arithmetic below computes them: drops zeros, no coercion."""
-        p = cls.__new__(cls)
-        p.coeffs = {e: c for e, c in coeffs.items() if c}
-        return p
-
-    @classmethod
-    def const(cls, c) -> "HPoly":
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def h(cls, power: int = 1) -> "HPoly":
-        return cls({power: Fraction(1)})
-
-    def __add__(self, other: "HPoly") -> "HPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return HPoly._of(out)
-
-    def __neg__(self) -> "HPoly":
-        return HPoly._of({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "HPoly") -> "HPoly":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e, c = e1 + e2, c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return HPoly._of(out)
-
-    def scale(self, c) -> "HPoly":
-        c = Fraction(c)
-        return HPoly._of({e: v * c for e, v in self.coeffs.items()})
-
-    def shift(self, power: int) -> "HPoly":
-        return HPoly._of({e + power: v for e, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                bits.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                bits.append(f"{head}h^{e}" if e > 1 else f"{head}h")
-        return " + ".join(bits)
-
-
 Dots = tuple[int, ...]
-TermKey = tuple[Dots, Perm]  # a dotted diagram: dots above the permutation
+TermKey = tuple[int, Dots, Perm]  # h^e X^dots w: (e, dots, w)
 PermTerms = list[tuple[Perm, Fraction]]  # sum c * w in the nil-Coxeter quotient
 
 
@@ -163,26 +90,26 @@ def dot_pass(u: Perm, j: int) -> tuple[int, tuple[tuple[Perm, int], ...]]:
 
 def _mul_basis(
     adots: Dots, u: Perm, bdots: Dots, v: Perm
-) -> dict[TermKey, HPoly]:
-    """Normal form of (X^a u) * (X^b v); coefficients collect h-corrections."""
+) -> dict[TermKey, int]:
+    """Normal form of (X^a u) * (X^b v) as nonzero integer coefficients;
+    each h-correction adds 1 to the h-power."""
     if not any(bdots):
         w = nil_product(u, v)
         if w is None:
             return {}
-        return {(adots, w): HPoly.const(1)}
+        return {(0, adots, w): 1}
     j = next(p for p, d in enumerate(bdots, start=1) if d > 0)
     rest = tuple(d - (1 if p == j else 0) for p, d in enumerate(bdots, start=1))
     k, corrs = dot_pass(u, j)
-    out: dict[TermKey, HPoly] = {}
     lifted_dots = tuple(
         d + (1 if p == k else 0) for p, d in enumerate(adots, start=1)
     )
-    for key, hp in _mul_basis(lifted_dots, u, rest, v).items():
-        out[key] = out.get(key, HPoly()) + hp
+    out = _mul_basis(lifted_dots, u, rest, v)
     for gamma, sign in corrs:
-        for key, hp in _mul_basis(adots, gamma, rest, v).items():
-            out[key] = out.get(key, HPoly()) + hp.shift(1).scale(sign)
-    return {key: hp for key, hp in out.items() if not hp.is_zero()}
+        for (e, dots, w), c in _mul_basis(adots, gamma, rest, v).items():
+            key = (e + 1, dots, w)
+            out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
 
 
 def _preserves_blocks(w: Perm, tau: Composition) -> bool:
@@ -193,7 +120,8 @@ def _preserves_blocks(w: Perm, tau: Composition) -> bool:
 
 
 class AlgebraElement:
-    """An element of NH_tau inside NH_n, as a normal-form term map.
+    """An element of NH_tau inside NH_n, as a normal-form term map
+    {(e, dots, w): nonzero Fraction}, the coefficient of h^e X^dots w.
 
     `block` records the block structure tau; every term's permutation must
     preserve its blocks.  Instances are immutable by convention.
@@ -205,23 +133,29 @@ class AlgebraElement:
         self,
         n: int,
         block: Composition,
-        terms: dict[TermKey, HPoly] | None = None,
+        terms: dict[TermKey, Fraction] | None = None,
     ):
         if total(block) != n:
             raise AlgebraError(f"block structure {block} does not sum to {n}")
         self.n = n
         self.block = block
         cleaned = {}
-        for (dots, w), hp in (terms or {}).items():
-            if hp.is_zero():
+        for key, c in (terms or {}).items():
+            if not c:
                 continue
-            if len(dots) != n or len(w) != n or min(dots, default=0) < 0:
-                raise AlgebraError(f"malformed term {(dots, w)}")
-            if not _preserves_blocks(w, block):
+            if (
+                len(key) != 3
+                or key[0] < 0
+                or len(key[1]) != n
+                or len(key[2]) != n
+                or min(key[1], default=0) < 0
+            ):
+                raise AlgebraError(f"malformed term {key}")
+            if not _preserves_blocks(key[2], block):
                 raise AlgebraError(
-                    f"term {w} does not preserve the blocks of {block}"
+                    f"term {key[2]} does not preserve the blocks of {block}"
                 )
-            cleaned[(dots, w)] = hp
+            cleaned[key] = c if type(c) is Fraction else Fraction(c)
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------
@@ -232,34 +166,32 @@ class AlgebraElement:
 
     @classmethod
     def unit(cls, n: int, block: Composition | None = None) -> "AlgebraElement":
-        key = ((0,) * n, identity(n))
-        return cls(n, block if block is not None else (n,), {key: HPoly.const(1)})
+        return cls.h_scalar(n, 0, block)
 
     @classmethod
     def x_gen(cls, n: int, i: int, block: Composition | None = None) -> "AlgebraElement":
         if not 1 <= i <= n:
             raise AlgebraError(f"X_{i} is out of range for {n} strands")
         dots = tuple(1 if p == i else 0 for p in range(1, n + 1))
-        key = (dots, identity(n))
-        return cls(n, block if block is not None else (n,), {key: HPoly.const(1)})
+        key = (0, dots, identity(n))
+        return cls(n, block if block is not None else (n,), {key: ONE})
 
     @classmethod
     def s_gen(cls, n: int, i: int, block: Composition | None = None) -> "AlgebraElement":
         if not 1 <= i <= n - 1:
             raise AlgebraError(f"s_{i} is out of range for {n} strands")
-        key = ((0,) * n, adjacent_transposition(n, i))
-        return cls(n, block if block is not None else (n,), {key: HPoly.const(1)})
+        return cls.from_perm(adjacent_transposition(n, i), block)
 
     @classmethod
     def from_perm(cls, w: Perm, block: Composition | None = None) -> "AlgebraElement":
         n = len(w)
-        key = ((0,) * n, w)
-        return cls(n, block if block is not None else (n,), {key: HPoly.const(1)})
+        key = (0, (0,) * n, w)
+        return cls(n, block if block is not None else (n,), {key: ONE})
 
     @classmethod
     def h_scalar(cls, n: int, power: int = 1, block: Composition | None = None) -> "AlgebraElement":
-        key = ((0,) * n, identity(n))
-        return cls(n, block if block is not None else (n,), {key: HPoly.h(power)})
+        key = (power, (0,) * n, identity(n))
+        return cls(n, block if block is not None else (n,), {key: ONE})
 
     # -- arithmetic --------------------------------------------------
 
@@ -275,35 +207,38 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         block = self._common_block(other)
         out = dict(self.terms)
-        for key, hp in other.terms.items():
-            out[key] = out.get(key, HPoly()) + hp
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
         return AlgebraElement(self.n, block, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.n, self.block, {k: -hp for k, hp in self.terms.items()}
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         block = self._common_block(other)
-        out: dict[TermKey, HPoly] = {}
-        for (ka, ua), ca in self.terms.items():
-            for (kb, ub), cb in other.terms.items():
-                for key, hp in _mul_basis(ka, ua, kb, ub).items():
-                    out[key] = out.get(key, HPoly()) + (ca * cb) * hp
+        out: dict[TermKey, Fraction] = {}
+        for (ea, ka, ua), ca in self.terms.items():
+            for (eb, kb, ub), cb in other.terms.items():
+                cab = ca * cb
+                for (e, dots, w), c in _mul_basis(ka, ua, kb, ub).items():
+                    key = (ea + eb + e, dots, w)
+                    out[key] = out[key] + cab * c if key in out else cab * c
         return AlgebraElement(self.n, block, out)
 
     def scale(self, c) -> "AlgebraElement":
+        c = Fraction(c)
         return AlgebraElement(
-            self.n, self.block, {k: hp.scale(c) for k, hp in self.terms.items()}
+            self.n, self.block, {k: v * c for k, v in self.terms.items()}
         )
 
     def scale_h(self, power: int = 1) -> "AlgebraElement":
         return AlgebraElement(
-            self.n, self.block, {k: hp.shift(power) for k, hp in self.terms.items()}
+            self.n,
+            self.block,
+            {(e + power, dots, w): c for (e, dots, w), c in self.terms.items()},
         )
 
     def in_block(self, block: Composition) -> "AlgebraElement":
@@ -354,29 +289,29 @@ def module_decompose(
         raise AlgebraError(f"element of NH_{x.block} is not in NH_{sigma}")
     n = x.n
     zero_dots = (0,) * n
-    result: dict[Perm, dict[TermKey, HPoly]] = {}
+    result: dict[Perm, dict[TermKey, Fraction]] = {}
     work = dict(x.terms)
     while work:
-        key = max(work, key=lambda k: (inversions(k[1]), k))
-        dots, w = key
+        key = max(work, key=lambda k: (inversions(k[2]), k))
+        e, dots, w = key
         coef = work[key]
         alpha, u = parabolic_decompose(w, tau)
         pushed = tuple(dots[alpha[p] - 1] for p in range(n))
-        piece = result.setdefault(alpha, {})
-        tkey = (pushed, u)
-        piece[tkey] = piece.get(tkey, HPoly()) + coef
-        # subtract alpha * (X^pushed u); its top term cancels (dots, w) and
-        # the h-corrections flow back into the working set
-        for pkey, hp in _mul_basis(zero_dots, alpha, pushed, u).items():
-            acc = work.get(pkey, HPoly()) - coef * hp
-            if acc.is_zero():
-                work.pop(pkey, None)
-            else:
+        # (dots, w) -> (alpha, pushed, u) is injective, so each piece term
+        # is set once; h is central and keeps its power
+        result.setdefault(alpha, {})[(e, pushed, u)] = coef
+        # subtract h^e alpha * (X^pushed u); its top term cancels the key
+        # and the h-corrections flow back into the working set
+        for (pe, pdots, pw), c in _mul_basis(zero_dots, alpha, pushed, u).items():
+            pkey = (e + pe, pdots, pw)
+            acc = work.get(pkey, 0) - coef * c
+            if acc:
                 work[pkey] = acc
+            else:
+                work.pop(pkey, None)
     return {
         alpha: AlgebraElement(n, tau, terms)
         for alpha, terms in sorted(result.items())
-        if any(not hp.is_zero() for hp in terms.values())
     }
 
 
@@ -392,11 +327,11 @@ def flip_iso(x: AlgebraElement) -> AlgebraElement:
     n = x.n
     rho = tuple(range(b + 1, b + a + 1)) + tuple(range(1, b + 1))
     rho_inv = inverse(rho)
-    out: dict[TermKey, HPoly] = {}
-    for (dots, w), hp in x.terms.items():
+    out: dict[TermKey, Fraction] = {}
+    for (e, dots, w), c in x.terms.items():
         new_w = compose(rho, compose(w, rho_inv))
         new_dots = tuple(dots[rho_inv[p] - 1] for p in range(n))
-        out[(new_dots, new_w)] = hp
+        out[(e, new_dots, new_w)] = c
     return AlgebraElement(n, (b, a), out)
 
 
@@ -405,9 +340,9 @@ def mirror_iso(x: AlgebraElement) -> AlgebraElement:
     from .perms import reverse_conjugate
 
     n = x.n
-    out: dict[TermKey, HPoly] = {}
-    for (dots, w), hp in x.terms.items():
-        out[(tuple(reversed(dots)), reverse_conjugate(w))] = hp
+    out: dict[TermKey, Fraction] = {}
+    for (e, dots, w), c in x.terms.items():
+        out[(e, tuple(reversed(dots)), reverse_conjugate(w))] = c
     return AlgebraElement(n, tuple(reversed(x.block)), out)
 
 
@@ -427,22 +362,18 @@ def s_generators(tau: Composition) -> list[int]:
 
 def generators(n: int, block: Composition) -> list[AlgebraElement]:
     """The generators of NH_block: the crossings s_i inside its blocks, then
-    the dots X_1 ... X_n."""
+    the dots X_1 ... X_n, then h."""
     gens = [AlgebraElement.s_gen(n, i, block) for i in s_generators(block)]
-    return gens + [AlgebraElement.x_gen(n, i, block) for i in range(1, n + 1)]
+    gens += [AlgebraElement.x_gen(n, i, block) for i in range(1, n + 1)]
+    return gens + [AlgebraElement.h_scalar(n, 1, block)]
 
 
 def nil_coxeter_image(x: AlgebraElement) -> PermTerms:
     """x in the nil-Coxeter quotient NH/(X_i = 0, h = 0): its dot-free terms
-    with a nonzero constant coefficient, as (permutation, coefficient)."""
-    out = []
-    for (dots, w), hp in x.terms.items():
-        if any(dots):
-            continue
-        c0 = hp.constant_term()
-        if c0:
-            out.append((w, c0))
-    return out
+    with no h, as (permutation, coefficient)."""
+    return [
+        (w, c) for (e, dots, w), c in x.terms.items() if not e and not any(dots)
+    ]
 
 
 class NilCoxeterModule:
@@ -506,7 +437,11 @@ class TruncatedPolyModule:
     def __init__(self, tau: Composition):
         self.tau = tau
         self.n = total(tau)
-        dot_vectors = _dot_vectors(self.n, self.DOT_BOUND - 1)
+        dot_vectors = [
+            d
+            for d in product(range(self.DOT_BOUND), repeat=self.n)
+            if sum(d) < self.DOT_BOUND
+        ]
         self.basis = [
             (e, dots, w)
             for e in range(self.H_BOUND)
@@ -523,37 +458,17 @@ class TruncatedPolyModule:
         """Nonzero entries {(row, col): value} of the right action of x.
 
         Column c is the truncated product (basis vector c) * x; its terms
-        and h-powers are distinct, so each entry is set once.
+        are distinct, so each entry is set once.
         """
         out: Entries = {}
-        for c, (e, dots, w) in enumerate(self.basis):
-            elem = AlgebraElement(self.n, self.tau, {(dots, w): HPoly.h(e)})
-            prod = elem * x
-            for (pdots, pw), hp in prod.terms.items():
-                if sum(pdots) >= self.DOT_BOUND:
-                    continue
-                for exp, coeff in hp.coeffs.items():
-                    if exp >= self.H_BOUND:
-                        continue
-                    out[(self.index[(exp, pdots, pw)], c)] = coeff
+        for c, key in enumerate(self.basis):
+            prod = AlgebraElement(self.n, self.tau, {key: ONE}) * x
+            for pkey, coeff in prod.terms.items():
+                if pkey[0] < self.H_BOUND and sum(pkey[1]) < self.DOT_BOUND:
+                    out[(self.index[pkey], c)] = coeff
         return out
 
     def act_matrix(self, x: AlgebraElement) -> Matrix:
         """Right-action matrix of x: `act_entries`, dense."""
         return from_entries(self.act_entries(x), self.dim, self.dim)
 
-
-def _dot_vectors(n: int, max_total: int) -> list[Dots]:
-    out = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            prefix.append(d)
-            rec(prefix, remaining - 1, budget - d)
-            prefix.pop()
-
-    rec([], n, max_total)
-    return sorted(out)

@@ -201,15 +201,10 @@ def format_element(x: AlgebraElement) -> str:
     >>> format_element(eval_string("s1*X1", (2,)))
     'X2*s1 + h'
     """
-    monomials = []
-    for (dots, w), hp in x.terms.items():
-        for e, coeff in hp.coeffs.items():
-            monomials.append(((e, dots, w), coeff))
-    if not monomials:
+    if not x.terms:
         return "0"
-    monomials.sort(key=lambda kv: kv[0])
     pieces = []
-    for (e, dots, w), coeff in monomials:
+    for (e, dots, w), coeff in sorted(x.terms.items()):
         factors = ["h"] * e
         for p, d in enumerate(dots, start=1):
             factors.extend([f"X{p}"] * d)

@@ -182,20 +182,24 @@ def total_fiber(pair: Pair) -> FiberReport:
     if case.mirrored:
         levels = [replace(c, pair=pair, mirrored=True) for c in levels]
     residual = levels[-1].vertex_sets[()]
-    if not residual:
-        verdict = "Vanishes"
-    elif residual == (block_cross(*pair[0]),):
-        verdict = "FlipEquivalence"
-    else:
-        verdict = "Other"
     return FiberReport(
         pair=pair,
         case=case,
         mirrored=case.mirrored,
         levels=levels,
-        verdict=verdict,
+        verdict=verdict_of(pair, residual),
         residual=residual,
     )
+
+
+def verdict_of(pair: Pair, residual: DiagramSet) -> str:
+    """The verdict a total fiber's residual gives: an empty one vanishes,
+    the single block crossing of the pair is the flip equivalence."""
+    if not residual:
+        return "Vanishes"
+    if residual == (block_cross(*pair[0]),):
+        return "FlipEquivalence"
+    return "Other"
 
 
 def is_twist_pair(pair: Pair) -> bool:

@@ -20,8 +20,8 @@ from .fiber import (
     check_recursiveness,
     is_twist_pair,
     total_fiber,
+    verdict_of,
 )
-from .perms import block_cross
 from .shuffles import enumerate_shuffles, shuffle_count
 
 SCHEMA_VERSION = 1
@@ -112,10 +112,7 @@ def _pair_entry(
     twist_ok = True
     defect_ok = True
     if is_twist_pair(pair):
-        a, b = pair[0]
-        twist_ok = report.verdict == "FlipEquivalence" and report.residual == (
-            block_cross(a, b),
-        )
+        twist_ok = report.verdict == "FlipEquivalence"
         if not twist_ok:
             failures.append(
                 f"expected FlipEquivalence with the block crossing, got "
@@ -223,7 +220,11 @@ def _is_int(x: Any) -> bool:
 
 
 def validate_report(doc: dict[str, Any]) -> None:
-    """Schema walk; raises ReportError on any malformed field."""
+    """Schema walk; raises ReportError on any malformed field and on an
+    entry that contradicts itself: a residual out of order or repeated, a
+    verdict other than `verdict_of` its residual, a level-0 rank other
+    than the residual's length, or failures listed without a false check
+    (or a false check without failures)."""
     _require(isinstance(doc, dict), "document must be an object")
     _require(doc.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
     n_total = doc.get("n_total")
@@ -284,6 +285,15 @@ def validate_report(doc: dict[str, Any]) -> None:
                 and sorted(w) == list(range(1, n_total + 1)),
                 f"residual {w} is not a permutation",
             )
+        residual = tuple(tuple(w) for w in entry["residual_permutations"])
+        _require(
+            list(residual) == sorted(set(residual)),
+            "residual must be sorted without repeats",
+        )
+        _require(
+            entry["verdict"] == verdict_of(pair, residual),
+            f"verdict {entry['verdict']} contradicts the residual",
+        )
         tables = entry.get("level_tables")
         levels = range(len(build_bifactorization(pair).bc_axes()), -1, -1)
         order = f"level tables must run from {levels[0]} down to 0"
@@ -312,6 +322,10 @@ def validate_report(doc: dict[str, Any]) -> None:
                 == 2 ** table["level"],
                 f"level {table['level']} table needs its 2^level indices once each",
             )
+        _require(
+            tables[-1]["entries"][0]["rank"] == len(residual),
+            "level 0 rank must equal the residual's length",
+        )
         checks = entry.get("checks")
         _require(
             isinstance(checks, dict)
@@ -323,4 +337,8 @@ def validate_report(doc: dict[str, Any]) -> None:
             isinstance(entry.get("failures"), list)
             and all(isinstance(f, str) for f in entry["failures"]),
             "bad failures field",
+        )
+        _require(
+            bool(entry["failures"]) != all(checks.values()),
+            "failures must be listed exactly when a check fails",
         )

@@ -1,5 +1,6 @@
 """The strand-diagram rewriter: relations, confluence, decompositions."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -11,7 +12,6 @@ from nilschober.algebra import (
 )
 from nilschober.algebra import (
     AlgebraError,
-    HPoly,
     NilCoxeterModule,
     TruncatedPolyModule,
     block_perms,
@@ -20,9 +20,10 @@ from nilschober.algebra import (
     module_decompose,
     s_generators,
 )
-from nilschober.compositions import all_compositions, refines
+from nilschober.compositions import all_compositions, refinement_pairs, refines
 from nilschober.expr import eval_string, format_element
 from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul, zeros
+from nilschober.oracle import HomSpace
 from nilschober.perms import compose, inversions, nil_product
 from nilschober.shuffles import enumerate_shuffles
 
@@ -134,6 +135,7 @@ S_INDICES = {
 
 
 def test_generators_are_crossings_then_dots():
+    """The crossings inside the blocks, then the dots, then h last."""
     assert sorted(S_INDICES) == sorted(
         c for n in range(1, 5) for c in all_compositions(n)
     )
@@ -141,6 +143,7 @@ def test_generators_are_crossings_then_dots():
         n = sum(block)
         expected = [A.s_gen(n, i, block) for i in s_indices]
         expected += [A.x_gen(n, i, block) for i in range(1, n + 1)]
+        expected += [A.h_scalar(n, 1, block)]
         got = generators(n, block)
         assert [(g.block, g.terms) for g in got] == [
             (g.block, g.terms) for g in expected
@@ -224,9 +227,9 @@ def test_flip_on_generators():
     assert flip_iso(xi) == A.s_gen(3, 2, (1, 2))
     # psi(ijk) = kij on dots-only diagrams
     x = A.x_gen(3, 1, (2, 1)) * A.x_gen(3, 2, (2, 1)).scale(1)
-    dots = A(3, (2, 1), {((2, 1, 3), (1, 2, 3)): HPoly.const(1)})
+    dots = A(3, (2, 1), {(0, (2, 1, 3), (1, 2, 3)): 1})
     flipped = flip_iso(dots)
-    assert list(flipped.terms) == [((3, 2, 1), (1, 2, 3))]
+    assert list(flipped.terms) == [(0, (3, 2, 1), (1, 2, 3))]
 
 
 def test_flip_is_involution_and_algebra_map():
@@ -237,7 +240,7 @@ def test_flip_is_involution_and_algebra_map():
         terms = {
             k: v
             for k, v in x.terms.items()
-            if all(k[1][p] in (1, 2) for p in (0, 1))
+            if all(k[2][p] in (1, 2) for p in (0, 1))
         }
         x21 = A(3, (2, 1), terms)
         y21 = A.s_gen(3, 1, (2, 1)) * x21
@@ -316,13 +319,13 @@ def test_nilcoxeter_entries_match_nil_product(n):
                 index = {u: i for i, u in enumerate(basis)}
                 for x in elements:
                     dense = zeros(len(basis), len(basis))
-                    for (dots, w), hp in x.terms.items():
-                        if any(dots):
+                    for (e, dots, w), coeff in x.terms.items():
+                        if e or any(dots):
                             continue
                         for c, u in enumerate(basis):
                             img = nil_product(u, w)
                             if img is not None:
-                                dense[index[img]][c] += hp.coeffs.get(0, 0)
+                                dense[index[img]][c] += coeff
                     expected = {
                         (r, c): v
                         for r, row in enumerate(dense)
@@ -352,13 +355,152 @@ def test_truncated_module_sees_h():
         assert all(mod.act_entries(x).values())  # nonzero entries only
 
 
-def test_hpoly_arithmetic():
-    p = HPoly.const(2) + HPoly.h()
-    q = HPoly.h() - HPoly.const(1)
-    assert (p * q).coeffs == {0: -2, 1: 1, 2: 1}
+def test_h_polynomial_arithmetic():
+    one, h = A.unit(2), A.h_scalar(2)
+    p = one.scale(2) + h
+    q = h - one
+
+    def h_power(e):
+        return (e, (0, 0), (1, 2))
+
+    assert (p * q).terms == {h_power(0): -2, h_power(1): 1, h_power(2): 1}
     assert (p - p).is_zero()
     # cancelled terms are dropped and every result keeps Fraction values
-    r = (HPoly.h() + HPoly.const(1)) * q
-    assert r.coeffs == {0: -1, 2: 1}
-    for x in (p + q, -p, p * q, r, p.shift(2), p.scale(Fraction(1, 2))):
-        assert all(type(c) is Fraction and c for c in x.coeffs.values())
+    r = (h + one) * q
+    assert r.terms == {h_power(0): -1, h_power(2): 1}
+    for x in (p + q, -p, p * q, r, p.scale_h(2), p.scale(Fraction(1, 2))):
+        assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        (-1, (0, 0), (1, 2)),
+        ((0, 0), (1, 2)),
+        (0, (0, 0), (1, 2), 0),
+        (0, (0,), (1, 2)),
+        (0, (0, 0), (1, 2, 3)),
+        (0, (0, -1), (1, 2)),
+    ],
+    ids=[
+        "negative h-power", "no h-power", "extra part", "short dots",
+        "long permutation", "negative dot",
+    ],
+)
+def test_element_rejects_malformed_keys(key):
+    with pytest.raises(AlgebraError, match="malformed term"):
+        A(2, (2,), {key: 1})
+
+
+def test_scale_h_rejects_a_negative_power():
+    with pytest.raises(AlgebraError, match="malformed term"):
+        A.unit(2).scale_h(-1)
+
+
+def _random_block_element(rng, n, block):
+    """A small random element of NH_block with rational coefficients."""
+    out = A.zero(n, block)
+    for _ in range(rng.randint(1, 3)):
+        term = A.unit(n, block).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice("sxh")
+            if kind == "s" and s_generators(block):
+                term = term * A.s_gen(n, rng.choice(s_generators(block)), block)
+            elif kind == "x":
+                term = term * A.x_gen(n, rng.randint(1, n), block)
+            elif kind == "h":
+                term = term.scale_h()
+        out = out + term
+    return out
+
+
+def test_printed_products_and_decompositions_are_pinned():
+    """The printed normal forms of fixed-seed random products in NH_sigma
+    and of their pieces over NH_tau, for every sigma <= tau with n <= 4,
+    hash to the digest printed when coefficients were nested polynomials
+    in h under (dots, w) keys."""
+    rng = random.Random(17)
+    lines = []
+    for n in (2, 3, 4):
+        for sigma, tau in refinement_pairs(n):
+            for _ in range(3):
+                x = _random_block_element(rng, n, sigma) * _random_block_element(
+                    rng, n, sigma
+                )
+                lines.append(format_element(x))
+                for alpha, y in module_decompose(sigma, tau, x).items():
+                    lines.append(f"{alpha} {format_element(y)}")
+    assert len(lines) == 248
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "344f55fd9bf267b81b70e04e679396cea67ca718f037058d74c455799ddc291e"
+    )
+
+
+def _product(a, b):
+    """The entries of the matrix product a b of two entry maps."""
+    rows_b = {}
+    for (k, c), v in b.items():
+        rows_b.setdefault(k, []).append((c, v))
+    out = {}
+    for (r, k), u in a.items():
+        for c, v in rows_b.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _difference(a, b):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
+
+
+def _assert_module_axioms(act, n, block):
+    """The defining relations of NH_block hold for the right action `act`
+    (element -> entries), read through act(xy) = act(y) act(x)."""
+    s = {i: act(A.s_gen(n, i, block)) for i in s_generators(block)}
+    x = {i: act(A.x_gen(n, i, block)) for i in range(1, n + 1)}
+    h = act(A.h_scalar(n, 1, block))
+
+    def word(*actions):
+        out = actions[0]
+        for a in actions[1:]:
+            out = _product(a, out)
+        return out
+
+    for i, si in s.items():
+        assert word(si, si) == {}, ("bigon", i)
+        for j, sj in s.items():
+            if j == i + 1:
+                assert word(si, sj, si) == word(sj, si, sj), ("braid", i)
+            elif j > i + 1:
+                assert word(si, sj) == word(sj, si), ("far", i, j)
+        assert _difference(word(x[i], si), word(si, x[i + 1])) == h, ("Xs", i)
+        assert _difference(word(si, x[i]), word(x[i + 1], si)) == h, ("sX", i)
+    for i, xi in x.items():
+        for j, xj in x.items():
+            assert word(xi, xj) == word(xj, xi), ("dots", i, j)
+        for j, sj in s.items():
+            if i not in (j, j + 1):
+                assert word(xi, sj) == word(sj, xi), ("dot past crossing", i, j)
+    for g in [*s.values(), *x.values()]:
+        assert word(h, g) == word(g, h), "h is not central"
+
+
+@pytest.mark.parametrize("module", [NilCoxeterModule, TruncatedPolyModule])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_modules_satisfy_the_relations(module, n):
+    """NilCoxeterModule and TruncatedPolyModule are NH_tau-modules for every
+    tau with n <= 4: the generator actions satisfy the defining relations."""
+    for tau in all_compositions(n):
+        _assert_module_axioms(module(tau).act_entries, n, tau)
+
+
+@pytest.mark.parametrize("module", [NilCoxeterModule, TruncatedPolyModule])
+@pytest.mark.parametrize("n", range(1, 4))
+def test_hom_spaces_satisfy_the_relations(module, n):
+    """The induced modules Hom_{NH_tau}(NH_sigma, N) are NH_sigma-modules
+    for every sigma <= tau with n <= 3, on either coefficient module."""
+    for sigma, tau in refinement_pairs(n):
+        space = HomSpace(sigma, tau, module(tau))
+        _assert_module_axioms(space.action_entries, n, sigma)

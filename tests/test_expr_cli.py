@@ -311,6 +311,55 @@ def test_from_json_rejects_a_repeated_pair():
         from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda e: e.update(
+                verdict="FlipEquivalence",
+                residual_permutations=[[1, 2, 3], [1, 2, 3]],
+            ),
+            "residual must be sorted without repeats",
+        ),
+        (
+            lambda e: e.update(residual_permutations=[[2, 1, 3], [1, 2, 3]]),
+            "residual must be sorted without repeats",
+        ),
+        (
+            lambda e: e.update(verdict="FlipEquivalence"),
+            "verdict FlipEquivalence contradicts the residual",
+        ),
+        (
+            lambda e: e["level_tables"][-1]["entries"][0].update(rank=5),
+            "level 0 rank must equal the residual's length",
+        ),
+        (
+            lambda e: e["failures"].append("adjunction fails at (3,) <= (1, 2)"),
+            "failures must be listed exactly when a check fails",
+        ),
+        (
+            lambda e: e["checks"].update(recursiveness=False),
+            "failures must be listed exactly when a check fails",
+        ),
+    ],
+    ids=[
+        "repeated residual", "unsorted residual", "verdict of another residual",
+        "level-0 rank", "failure under true checks", "false check, no failure",
+    ],
+)
+def test_from_json_rejects_self_contradicting_entries(corrupt, message):
+    """The first entry of the n = 3 report, ((1, 2), (1, 2)), vanishes with
+    an empty residual and no failures; each corruption contradicts that."""
+    doc = json.loads(to_json(build_report(3, max_oracle=0)))
+    entry = doc["pairs"][0]
+    assert entry["pair"] == {"ab": [1, 2], "cd": [1, 2]}
+    assert entry["verdict"] == "Vanishes" and entry["residual_permutations"] == []
+    assert entry["failures"] == []
+    corrupt(entry)
+    with pytest.raises(ReportError, match=message):
+        from_json(json.dumps(doc))
+
+
 def test_bad_pair_filter_is_rejected_before_the_global_sweep(monkeypatch):
     import nilschober.report as report_mod
 
@@ -438,18 +487,30 @@ def test_report_timing_flag():
 def test_cli_axiom_failure_exit_code(monkeypatch, tmp_path, capsys):
     import nilschober.report as report_mod
 
-    real = report_mod.total_fiber
-
-    def broken(pair):
-        rep = real(pair)
-        rep.verdict = "Other"
-        return rep
-
-    monkeypatch.setattr(report_mod, "total_fiber", broken)
+    monkeypatch.setattr(report_mod, "check_recursiveness", lambda *args: False)
     code = main(["check", "--n", "2", "--json", str(tmp_path / "r.json"),
                  "--max-oracle", "0"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_cli_forged_verdict_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    """A verdict that its own residual contradicts fails report validation:
+    an internal error, not an axiom failure."""
+    import nilschober.report as report_mod
+
+    real = report_mod.total_fiber
+
+    def forged(pair):
+        rep = real(pair)
+        rep.verdict = "Other"
+        return rep
+
+    monkeypatch.setattr(report_mod, "total_fiber", forged)
+    code = main(["check", "--n", "2", "--json", str(tmp_path / "r.json"),
+                 "--max-oracle", "0"])
+    assert code == 3
+    assert "verdict Other contradicts the residual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -524,14 +524,13 @@ def _truncated_cases():
             {True},
             id="nil-coxeter-n5",
         ),
-        pytest.param(_truncated_cases, {True, False}, id="truncated-n<=3"),
+        pytest.param(_truncated_cases, {True}, id="truncated-n<=3"),
     ],
 )
 def test_spin_matches_full_system(cases, verdicts):
     """Spinning gives the kernel dimensions and the comparison rank of the
-    full intertwiner systems, hence the same verdict.  On the truncated
-    modules some verdicts are False, (2,), (1, 1) among them, and those
-    agree too."""
+    full intertwiner systems, hence the same verdict.  With h among the
+    generators, every adjunction holds on the truncated modules too."""
     seen = {}
     for sigma, tau, m_mod, n_mod in cases():
         spun = _adjunction_ranks(sigma, tau, m_mod, n_mod)
@@ -539,8 +538,6 @@ def test_spin_matches_full_system(cases, verdicts):
         seen[sigma, tau] = check_adjunction(sigma, tau, m_mod, n_mod)
         assert seen[sigma, tau] == (spun[0] == spun[1] == spun[2])
     assert set(seen.values()) == verdicts
-    if False in verdicts:
-        assert not seen[(2,), (1, 1)]
 
 
 def _expand(spun, dim_m, dim_n, column):

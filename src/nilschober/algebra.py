@@ -382,7 +382,8 @@ class NilCoxeterModule:
 
     Basis vectors are indexed by block permutations sorted lexicographically;
     a crossing diagram acts by e_u . w = e_{u o w} when lengths add and by 0
-    otherwise, dots and h act by 0.
+    otherwise, dots and h act by 0.  Each instance tabulates the (row, col)
+    cells of a permutation's action the first time it acts.
     """
 
     def __init__(self, tau: Composition):
@@ -390,6 +391,7 @@ class NilCoxeterModule:
         self.n = total(tau)
         self.basis = block_perms(tau)
         self.index = {w: i for i, w in enumerate(self.basis)}
+        self._cells: dict[Perm, list[tuple[int, int]]] = {}
 
     @property
     def dim(self) -> int:
@@ -408,6 +410,16 @@ class NilCoxeterModule:
         """
         out: Entries = {}
         for w, c0 in terms:
+            for cell in self._action_cells(w):
+                out[cell] = c0
+        return out
+
+    def _action_cells(self, w: Perm) -> list[tuple[int, int]]:
+        """The (row, col) cells where w acts by 1, by column: e_u . w =
+        e_{u o w} when lengths add."""
+        cells = self._cells.get(w)
+        if cells is None:
+            cells = []
             for c, u in enumerate(self.basis):
                 img = nil_product(u, w)
                 if img is None:
@@ -417,8 +429,9 @@ class NilCoxeterModule:
                     raise AlgebraError(
                         f"action of {w} leaves the module basis of NH_{self.tau}"
                     )
-                out[(r, c)] = c0
-        return out
+                cells.append((r, c))
+            self._cells[w] = cells
+        return cells
 
     def act_matrix(self, x: AlgebraElement) -> Matrix:
         """Right-action matrix of a general element: `act_entries`, dense."""

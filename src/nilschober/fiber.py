@@ -253,10 +253,12 @@ def check_far_commutativity(
     equal generator actions on the nil-Coxeter module of the source
     algebra, compared generator by generator as their nonzero entries.
 
-    `memo` may be shared by the calls of one sweep: it keeps each route's
-    HomSpace under (outer, inner, source) with the entries of every
-    generator computed on it, so a route action is built once per sweep.
-    Without it every call starts from an empty one.
+    `memo` may be shared by the calls of one sweep, so that each object is
+    built once per sweep.  It keeps the NilCoxeterModule of each source
+    under `source`, the generator list of each algebra under (n, block),
+    and each route's HomSpace under (outer, inner, source) with the entries
+    of every generator computed on it.  Without it every call starts from
+    an empty one.
     """
     from .algebra import NilCoxeterModule, generators
     from .oracle import HomSpace
@@ -270,11 +272,17 @@ def check_far_commutativity(
         memo = {}
     source = c0 + d1
 
-    def route(outer: Composition, inner: Composition):
-        key = (outer, inner, source)
+    def once(key, build):
         if key not in memo:
-            memo[key] = (HomSpace(outer, inner, NilCoxeterModule(source)), {})
+            memo[key] = build()
         return memo[key]
+
+    module = once(source, lambda: NilCoxeterModule(source))
+
+    def route(outer: Composition, inner: Composition):
+        return once(
+            (outer, inner, source), lambda: (HomSpace(outer, inner, module), {})
+        )
 
     route_a = route(c0 + d0, c0 + d1)
     route_b = route(c1 + d0, c1 + d1)
@@ -288,7 +296,8 @@ def check_far_commutativity(
             table[key] = space.action_entries(g)
         return table[key]
 
-    for g in generators(total(source), c1 + d0):
+    n, block = a + b, c1 + d0
+    for g in once((n, block), lambda: generators(n, block)):
         if entries(route_a, g) != entries(route_b, g):
             return False
     return True

@@ -248,28 +248,41 @@ def _two_layer_entries(
     identity.  Edge maps, vertex actions and, through `HomSpace`, the
     actions of induced modules all come from here.  Both layers are split
     in the coefficients of the module (`_coefficients`); an E' whose g E'
-    splits to nothing (a dot on a nil-Coxeter module) writes no row.
-    Different (E_i, F_j) can land on one block, so entries are summed and
-    the cancelled ones dropped at the end."""
+    splits to nothing (a dot on a nil-Coxeter module) writes no row, and a
+    g whose nil-Coxeter image is empty (a dot or h) writes none at all.
+    Between one-layer vertices (inner_coarse == inner_fine, a `HomSpace`)
+    the inner shuffles are the identity alone, and x_i lies in the inner
+    algebra, so the inner split of x_i is {identity: x_i}: x_i acts
+    directly, in either ring.  Different (E_i, F_j) can land on one block,
+    so entries are summed and the cancelled ones dropped at the end."""
     module = src.module
     ring = _coefficients(module)
     dim_t = module.dim
     image = None if g is None else ring.lift(g)
+    if g is not None and not image:
+        return {}
+    one_layer = (
+        src.inner_coarse == src.inner_fine and dst.inner_coarse == dst.inner_fine
+    )
     out: Entries = {}
     for e in dst.e_set:
         outer = ring.split(src.cd, src.outer_fine, ring.times_perm(image, e, src.cd))
         if not outer:
             continue
         for f in dst.f_set:
-            r0 = dst.block_index[compose(e, f)] * dim_t
+            r0 = dst.block_index[e if one_layer else compose(e, f)] * dim_t
             for e_i, x_i in outer.items():
-                inner = ring.split(
-                    src.inner_coarse,
-                    src.inner_fine,
-                    ring.times_perm(x_i, f, src.inner_coarse),
-                )
-                for f_j, y in inner.items():
-                    c0 = src.block_index[compose(e_i, f_j)] * dim_t
+                if one_layer:
+                    pieces = ((e_i, x_i),)
+                else:
+                    inner = ring.split(
+                        src.inner_coarse,
+                        src.inner_fine,
+                        ring.times_perm(x_i, f, src.inner_coarse),
+                    )
+                    pieces = [(compose(e_i, f_j), y) for f_j, y in inner.items()]
+                for block, y in pieces:
+                    c0 = src.block_index[block] * dim_t
                     for (r, c), v in ring.act(module, y).items():
                         key = (r0 + r, c0 + c)
                         out[key] = out[key] + v if key in out else v

@@ -18,6 +18,7 @@ from .fiber import (
     FiberReport,
     check_far_commutativity,
     check_recursiveness,
+    collapse_order,
     is_twist_pair,
     total_fiber,
     verdict_of,
@@ -223,8 +224,10 @@ def validate_report(doc: dict[str, Any]) -> None:
     """Schema walk; raises ReportError on any malformed field and on an
     entry that contradicts itself: a residual out of order or repeated, a
     verdict other than `verdict_of` its residual, a level-0 rank other
-    than the residual's length, or failures listed without a false check
-    (or a false check without failures)."""
+    than the residual's length, a lower level table other than the finite
+    difference upper(..0..) - upper(..1..) along the axis that
+    `collapse_order` removes at that step, or failures listed without a
+    false check (or a false check without failures)."""
     _require(isinstance(doc, dict), "document must be an object")
     _require(doc.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
     n_total = doc.get("n_total")
@@ -295,7 +298,9 @@ def validate_report(doc: dict[str, Any]) -> None:
             f"verdict {entry['verdict']} contradicts the residual",
         )
         tables = entry.get("level_tables")
-        levels = range(len(build_bifactorization(pair).bc_axes()), -1, -1)
+        spec = build_bifactorization(pair)
+        axes = spec.bc_axes()
+        levels = range(len(axes), -1, -1)
         order = f"level tables must run from {levels[0]} down to 0"
         _require(isinstance(tables, list) and len(tables) == len(levels), order)
         for level, table in zip(levels, tables):
@@ -326,6 +331,22 @@ def validate_report(doc: dict[str, Any]) -> None:
             tables[-1]["entries"][0]["rank"] == len(residual),
             "level 0 rank must equal the residual's length",
         )
+        # each collapse keeps upper - lower with lower inside upper, so a
+        # lower table is the finite difference of the one above it
+        remaining = list(axes)
+        for axis, upper, lower in zip(collapse_order(spec), tables, tables[1:]):
+            pos = remaining.index(axis)
+            remaining.pop(pos)
+            ranks = {tuple(c["index_bits"]): c["rank"] for c in upper["entries"]}
+            for cell in lower["entries"]:
+                bits = tuple(cell["index_bits"])
+                head, tail = bits[:pos], bits[pos:]
+                _require(
+                    cell["rank"]
+                    == ranks[head + (0,) + tail] - ranks[head + (1,) + tail],
+                    f"level {lower['level']} rank at {cell['index_bits']} is not "
+                    f"the difference of level {upper['level']} along {axis}",
+                )
         checks = entry.get("checks")
         _require(
             isinstance(checks, dict)

@@ -360,6 +360,35 @@ def test_from_json_rejects_self_contradicting_entries(corrupt, message):
         from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "n, level, index, corrupt, message",
+    [
+        (3, 2, [1, 0], lambda r: 99, r"level 1 rank at \[1\] .* level 2 along layer"),
+        (4, 2, [0, 1], lambda r: 99, r"level 2 rank at \[0, 1\] .* level 3 along layer"),
+        (4, 1, [0], lambda r: r + 1, r"level 1 rank at \[0\] .* level 2 along zeta"),
+        (4, 3, [0, 0, 0], lambda r: r + 1, r"level 2 rank at \[0, 0\] .* level 3"),
+    ],
+    ids=[
+        "rank 99 in the top level-2 table", "rank 99 in a lower level-2 table",
+        "level-1 rank off by one", "top-table edit",
+    ],
+)
+def test_from_json_rejects_level_tables_that_are_not_finite_differences(
+    n, level, index, corrupt, message
+):
+    """Each lower level table of the first entry must equal upper(..0..) -
+    upper(..1..) along the axis its collapse removes; one changed rank
+    breaks that at the level it sits in or at the level below.  The first
+    case is the n = 3 document with rank 99 at one index of its level-2
+    table, which passed before the finite-difference check."""
+    doc = json.loads(to_json(build_report(n, max_oracle=0)))
+    table = next(t for t in doc["pairs"][0]["level_tables"] if t["level"] == level)
+    cell = next(c for c in table["entries"] if c["index_bits"] == index)
+    cell["rank"] = corrupt(cell["rank"])
+    with pytest.raises(ReportError, match=message):
+        from_json(json.dumps(doc))
+
+
 def test_bad_pair_filter_is_rejected_before_the_global_sweep(monkeypatch):
     import nilschober.report as report_mod
 

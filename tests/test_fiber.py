@@ -10,6 +10,7 @@ from nilschober.compositions import (
     mirror_pair,
     refines,
 )
+import nilschober.algebra as algebra
 import nilschober.fiber as fiber
 import nilschober.oracle as oracle
 import nilschober.report as report
@@ -435,6 +436,39 @@ def test_shared_memo_matches_fresh_calls(monkeypatch, perturbed):
     assert shared == fresh
     assert all(fresh) != perturbed
     assert any(fresh)
+
+
+def test_one_sweep_builds_each_nil_coxeter_object_once(monkeypatch):
+    """The global checks of one n = 5 query (adjunctions structural at
+    max_oracle 4) build each NilCoxeterModule(tau) once and each generator
+    list once per (n, block), where every route used to build its own (74
+    modules and 108 lists), and split no one-layer Hom space's inner
+    layer: at most 300 parabolic factorizations (566 with those splits)."""
+    modules, lists, splits = [], [], []
+    real_init = algebra.NilCoxeterModule.__init__
+    real_generators = algebra.generators
+    real_decompose = oracle.parabolic_decompose
+
+    def counted_init(self, tau):
+        modules.append(tau)
+        real_init(self, tau)
+
+    def counted_generators(n, block):
+        lists.append((n, block))
+        return real_generators(n, block)
+
+    def counted_decompose(w, tau):
+        splits.append(tau)
+        return real_decompose(w, tau)
+
+    monkeypatch.setattr(algebra.NilCoxeterModule, "__init__", counted_init)
+    monkeypatch.setattr(algebra, "generators", counted_generators)
+    monkeypatch.setattr(oracle, "parabolic_decompose", counted_decompose)
+    checks, failures = report._global_checks(5, 4)
+    assert all(checks.values()) and failures == []
+    assert len(modules) == len(set(modules)) == 15
+    assert len(lists) == len(set(lists)) == 15
+    assert 0 < len(splits) <= 300
 
 
 def test_repeated_pair_query_is_byte_identical():

@@ -373,8 +373,9 @@ def test_x_generators_act_by_zero_on_hom_spaces():
 def _hom_spaces(max_n):
     """Every HomSpace(sigma, tau, NilCoxeterModule(rho)) for sigma <= tau
     with n <= max_n and rho in {sigma, tau}, and every far-commutativity
-    route-b space HomSpace(c1+d0, c1+d1, NilCoxeterModule(c0+d1)); each
-    with the generators of its outer algebra."""
+    route-b space HomSpace(c1+d0, c1+d1, NilCoxeterModule(c0+d1)); for
+    n <= 3 each also over TruncatedPolyModule(rho), where dots and h act.
+    Each comes with the generators of its outer algebra."""
     seen = set()
     for n, sigma, tau in _refinements(max_n):
         for rho in (sigma, tau):
@@ -385,13 +386,17 @@ def _hom_spaces(max_n):
                     seen.add((n, c1 + d0, c1 + d1, c0 + d1))
     for n, sigma, tau, rho in sorted(seen):
         yield HomSpace(sigma, tau, NilCoxeterModule(rho)), generators(n, sigma)
+        if n <= 3:
+            yield HomSpace(sigma, tau, TruncatedPolyModule(rho)), generators(n, sigma)
 
 
 def test_hom_space_actions_match_module_decompose():
-    """HomSpace.action_entries on nil-Coxeter modules, which decomposes in
-    the quotient, equals the decomposition in NH through module_decompose
-    (the same reference as for edges and corner actions), entry for entry
-    and in the same order, for every generator, n <= 5."""
+    """HomSpace.action_entries, which decomposes in the quotient on
+    nil-Coxeter modules and acts by x_i without an inner split on its one
+    layer in either ring, equals the two decompositions in NH through
+    module_decompose (the same reference as for edges and corner actions),
+    entry for entry and in the same order, for every generator: n <= 5 on
+    nil-Coxeter modules, n <= 3 on truncated ones."""
     spaces = 0
     for space, gens in _hom_spaces(5):
         for g in gens:

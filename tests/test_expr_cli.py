@@ -364,7 +364,7 @@ def test_from_json_rejects_self_contradicting_entries(corrupt, message):
     "n, level, index, corrupt, message",
     [
         (3, 2, [1, 0], lambda r: 99, r"level 1 rank at \[1\] .* level 2 along layer"),
-        (4, 2, [0, 1], lambda r: 99, r"level 2 rank at \[0, 1\] .* level 3 along layer"),
+        (4, 2, [0, 1], lambda r: 99, r"level 2 rank at \[0, 1\] .* level 3 along"),
         (4, 1, [0], lambda r: r + 1, r"level 1 rank at \[0\] .* level 2 along zeta"),
         (4, 3, [0, 0, 0], lambda r: r + 1, r"level 2 rank at \[0, 0\] .* level 3"),
     ],

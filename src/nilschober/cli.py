@@ -22,7 +22,7 @@ from .expr import eval_string, format_element
 from .fiber import FiberError
 from .linalg import LinAlgError
 from .oracle import OracleError
-from .report import build_report, report_ok, to_json, two_part_pairs
+from .report import DEFAULT_MAX_ORACLE, build_report, report_ok, to_json, two_part_pairs
 from .shuffles import enumerate_shuffles
 
 AXIOM_FAILURE = 1
@@ -154,8 +154,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--pair", help='restrict to one pair, e.g. "2,3;2,3"')
     p_check.add_argument("--json", help="write the report to this path")
     p_check.add_argument(
-        "--max-oracle", type=int, default=4,
-        help="largest strand count for the exact matrix oracle (default 4)",
+        "--max-oracle", type=int, default=DEFAULT_MAX_ORACLE,
+        help="largest strand count for the exact matrix oracle (default %(default)s)",
     )
     p_check.add_argument(
         "--max-n", type=int, default=6,

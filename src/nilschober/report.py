@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import product
 from typing import Any
 
 from .compositions import Pair, all_compositions, classify_pair, refinement_pairs
@@ -26,6 +27,7 @@ from .fiber import (
 from .shuffles import enumerate_shuffles, shuffle_count
 
 SCHEMA_VERSION = 1
+DEFAULT_MAX_ORACLE = 4  # largest strand count for the exact matrix oracle
 CHECK_NAMES = (
     "adjunctability",
     "recursiveness",
@@ -45,56 +47,49 @@ def two_part_pairs(n_total: int) -> list[Pair]:
 
 
 def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list[str]]:
+    """Adjunctability, recursiveness and far-commutativity over the sweeps
+    of `n_total`.  Each failure is recorded once, as (check name, message),
+    in sweep order: adjunctability, recursiveness, far-commutativity.  A
+    check is true exactly when no record names it."""
     from .oracle import check_adjunction
 
-    failures: list[str] = []
-    adjunct = True
+    failed: list[tuple[str, str]] = []
     for sigma, tau in refinement_pairs(n_total):
         # induction is a finite free right adjoint: every refinement edge's
         # shuffle basis exists with the multinomial rank
         size, count = len(enumerate_shuffles(sigma, tau)), shuffle_count(sigma, tau)
         if size != count:
-            adjunct = False
-            failures.append(
+            failed.append((
+                "adjunctability",
                 f"shuffle basis of {sigma} <= {tau} has {size} elements, "
-                f"multinomial {count}"
-            )
+                f"multinomial {count}",
+            ))
         if n_total <= max_oracle and not check_adjunction(sigma, tau):
-            adjunct = False
-            failures.append(f"adjunction fails at {sigma} <= {tau}")
-    recursive = True
+            failed.append(("adjunctability", f"adjunction fails at {sigma} <= {tau}"))
     for comp in all_compositions(n_total):
         for i in range(1, len(comp) + 1):
             if not check_recursiveness(n_total, comp, i):
-                recursive = False
-                failures.append(f"recursiveness fails at {comp}, slot {i}")
-    far = True
+                failed.append(
+                    ("recursiveness", f"recursiveness fails at {comp}, slot {i}")
+                )
     matrix_far = n_total <= max(5, max_oracle)
     memo: dict = {}  # route actions shared by this sweep only
     for a in range(1, n_total):
         b = n_total - a
-        for c0, c1 in refinement_pairs(a):
-            for d0, d1 in refinement_pairs(b):
-                if matrix_far:
-                    ok = check_far_commutativity((a, b), c0, c1, d0, d1, memo=memo)
-                else:
-                    ok = set(enumerate_shuffles(c0 + d0, c0 + d1)) == set(
-                        enumerate_shuffles(c1 + d0, c1 + d1)
-                    )
-                if not ok:
-                    far = False
-                    failures.append(
-                        f"far-commutativity fails at ({a},{b}), "
-                        f"{c0}<={c1}, {d0}<={d1}"
-                    )
-    return (
-        {
-            "adjunctability": adjunct,
-            "recursiveness": recursive,
-            "far_commutativity": far,
-        },
-        failures,
-    )
+        for (c0, c1), (d0, d1) in product(refinement_pairs(a), refinement_pairs(b)):
+            if matrix_far:
+                ok = check_far_commutativity((a, b), c0, c1, d0, d1, memo=memo)
+            else:
+                ok = enumerate_shuffles(c0 + d0, c0 + d1) == enumerate_shuffles(
+                    c1 + d0, c1 + d1
+                )
+            if not ok:
+                failed.append((
+                    "far_commutativity",
+                    f"far-commutativity fails at ({a},{b}), {c0}<={c1}, {d0}<={d1}",
+                ))
+    checks = {name: all(c != name for c, _ in failed) for name in CHECK_NAMES[:3]}
+    return checks, [message for _, message in failed]
 
 
 def _pair_entry(
@@ -102,46 +97,37 @@ def _pair_entry(
     globals_ok: dict[str, bool],
     global_failures: list[str],
     max_oracle: int,
-) -> tuple[dict[str, Any], list[str]]:
+) -> dict[str, Any]:
+    """One pair's entry.  Its failures are the global ones, then the pair's
+    own, which all belong to its local check: twist_invertibility on a twist
+    pair, defect_vanishing otherwise.  So a check is false exactly when one
+    of the entry's failure lines belongs to it."""
     from .oracle import flip_action_check, oracle_matches_diagram, realized_total_fiber
 
-    n_total = sum(pair[0])
     report: FiberReport = total_fiber(pair)
+    matrix = sum(pair[0]) <= max_oracle
     # one realized fiber serves both the flip check and the oracle
-    realized = realized_total_fiber(pair) if n_total <= max_oracle else None
-    failures: list[str] = list(global_failures)
-    twist_ok = True
-    defect_ok = True
-    if is_twist_pair(pair):
-        twist_ok = report.verdict == "FlipEquivalence"
-        if not twist_ok:
-            failures.append(
-                f"expected FlipEquivalence with the block crossing, got "
-                f"{report.verdict} {report.residual}"
-            )
-        if twist_ok and n_total <= max_oracle:
-            if not flip_action_check(pair, realized=realized):
-                twist_ok = False
-                failures.append("flip action check fails on the nil-Coxeter module")
-    else:
-        defect_ok = report.verdict == "Vanishes"
-        if not defect_ok:
-            failures.append(
-                f"expected Vanishes, got {report.verdict} {report.residual}"
-            )
-    if n_total <= max_oracle:
-        if not oracle_matches_diagram(pair, realized=realized, report=report):
-            failures.append("matrix oracle disagrees with the diagram model")
-            if is_twist_pair(pair):
-                twist_ok = False
-            else:
-                defect_ok = False
-    entry = {
+    realized = realized_total_fiber(pair) if matrix else None
+    twist = is_twist_pair(pair)
+    local, expected, note = (
+        ("twist_invertibility", "FlipEquivalence", " with the block crossing")
+        if twist
+        else ("defect_vanishing", "Vanishes", "")
+    )
+    own: list[str] = []
+    if report.verdict != expected:
+        own.append(
+            f"expected {expected}{note}, got {report.verdict} {report.residual}"
+        )
+    elif twist and matrix and not flip_action_check(pair, realized=realized):
+        own.append("flip action check fails on the nil-Coxeter module")
+    if matrix and not oracle_matches_diagram(pair, realized=realized, report=report):
+        own.append("matrix oracle disagrees with the diagram model")
+    checks = dict(globals_ok, twist_invertibility=True, defect_vanishing=True)
+    checks[local] = not own
+    return {
         "pair": {"ab": list(pair[0]), "cd": list(pair[1])},
-        "case": {
-            "tag": report.case.tag,
-            "params": {k: v for k, v in report.case.params},
-        },
+        "case": {"tag": report.case.tag, "params": dict(report.case.params)},
         "mirrored": report.mirrored,
         "level_tables": [
             {
@@ -155,22 +141,15 @@ def _pair_entry(
         ],
         "verdict": report.verdict,
         "residual_permutations": [list(w) for w in report.residual],
-        "checks": {
-            "adjunctability": globals_ok["adjunctability"],
-            "recursiveness": globals_ok["recursiveness"],
-            "far_commutativity": globals_ok["far_commutativity"],
-            "twist_invertibility": twist_ok,
-            "defect_vanishing": defect_ok,
-        },
-        "failures": failures,
+        "checks": checks,
+        "failures": global_failures + own,
     }
-    return entry, failures
 
 
 def build_report(
     n_total: int,
     pair_filter: Pair | None = None,
-    max_oracle: int = 4,
+    max_oracle: int = DEFAULT_MAX_ORACLE,
     with_timing: bool = False,
 ) -> dict[str, Any]:
     t0 = time.perf_counter()
@@ -180,11 +159,10 @@ def build_report(
             raise ReportError(f"pair {pair_filter} is not a pair for n={n_total}")
         pairs = [pair_filter]
     globals_ok, failures = _global_checks(n_total, max_oracle)
-    entries = [_pair_entry(p, globals_ok, failures, max_oracle) for p in pairs]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n_total": n_total,
-        "pairs": [entry for entry, _ in entries],
+        "pairs": [_pair_entry(p, globals_ok, failures, max_oracle) for p in pairs],
         "timing": (
             {"total_s": round(time.perf_counter() - t0, 6)} if with_timing else None
         ),

@@ -134,12 +134,6 @@ class LevelParams:
             raise ShuffleError("no head composition at the terminal level")
         return psi_inv("".join(map(str, self.head_bits)))
 
-    def tau(self) -> Composition:
-        if self.terminal:
-            return (self.c,)
-        head = self.head()
-        return head[:-1] + (head[-1] + self.level,)
-
     def _assemble(self, middle: tuple[int, ...]) -> Composition:
         """head[:-1], the given middle parts, the mirrored head, then the
         beta_c-dependent tail: last part + m, or a separate part m."""

@@ -423,6 +423,40 @@ def test_structural_adjunction_failure_still_runs_the_oracle(monkeypatch):
         assert entry["checks"]["far_commutativity"]
 
 
+def test_pair_failures_reach_only_their_own_entry(monkeypatch):
+    """A pair's own oracle or flip failure turns false the check of its
+    kind (twist_invertibility on a twist pair, defect_vanishing on any
+    other), lists exactly that line, and leaves every other entry clean."""
+    mismatch = {((2, 2), (2, 2)), ((1, 3), (2, 2))}
+    bad_flip = {((1, 3), (3, 1))}
+    real_match = oracle.oracle_matches_diagram
+    real_flip = oracle.flip_action_check
+    monkeypatch.setattr(
+        oracle, "oracle_matches_diagram",
+        lambda pair, **kw: pair not in mismatch and real_match(pair, **kw),
+    )
+    monkeypatch.setattr(
+        oracle, "flip_action_check",
+        lambda pair, **kw: pair not in bad_flip and real_flip(pair, **kw),
+    )
+    doc = build_report(4)
+    assert not report_ok(doc)
+    oracle_line = "matrix oracle disagrees with the diagram model"
+    flip_line = "flip action check fails on the nil-Coxeter module"
+    expected = {
+        ((2, 2), (2, 2)): ("twist_invertibility", oracle_line),
+        ((1, 3), (2, 2)): ("defect_vanishing", oracle_line),
+        ((1, 3), (3, 1)): ("twist_invertibility", flip_line),
+    }
+    for entry in doc["pairs"]:
+        pair = (tuple(entry["pair"]["ab"]), tuple(entry["pair"]["cd"]))
+        failed, line = expected.get(pair, (None, None))
+        assert entry["checks"] == {
+            name: name != failed for name in report.CHECK_NAMES
+        }, pair
+        assert entry["failures"] == ([line] if line else []), pair
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_shared_memo_matches_fresh_calls(monkeypatch, perturbed):
     """One memo over the whole n <= 5 sweep gives the verdicts of fresh

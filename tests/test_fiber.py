@@ -457,6 +457,29 @@ def test_pair_failures_reach_only_their_own_entry(monkeypatch):
         assert entry["failures"] == ([line] if line else []), pair
 
 
+def test_global_failures_come_before_a_pairs_own(monkeypatch):
+    """An entry lists the global failures in sweep order, then its own."""
+    real_rec = report.check_recursiveness
+    real_match = oracle.oracle_matches_diagram
+    monkeypatch.setattr(
+        report, "check_recursiveness",
+        lambda n, comp, i: (comp, i) != ((2, 2), 1) and real_rec(n, comp, i),
+    )
+    monkeypatch.setattr(
+        oracle, "oracle_matches_diagram",
+        lambda pair, **kw: pair != ((1, 3), (2, 2)) and real_match(pair, **kw),
+    )
+    doc = build_report(4, pair_filter=((1, 3), (2, 2)))
+    (entry,) = doc["pairs"]
+    assert entry["failures"] == [
+        "recursiveness fails at (2, 2), slot 1",
+        "matrix oracle disagrees with the diagram model",
+    ]
+    assert [name for name, ok in entry["checks"].items() if not ok] == [
+        "recursiveness", "defect_vanishing",
+    ]
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_shared_memo_matches_fresh_calls(monkeypatch, perturbed):
     """One memo over the whole n <= 5 sweep gives the verdicts of fresh

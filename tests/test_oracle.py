@@ -1,6 +1,7 @@
 """The exact-matrix oracle: realized edges, kernels, adjunctions."""
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
@@ -262,7 +263,9 @@ def test_adjunction_single_block_five_strands():
 
 def test_adjunction_can_fail(monkeypatch):
     """One broken input per failure branch of check_adjunction at
-    ((3,), (1, 2)), where both Hom spaces have dimension 6."""
+    ((3,), (1, 2)), where both Hom spaces have dimension 6.  The relabelled
+    split and the zero s_1 both leave every action a partial permutation,
+    so all of these spins take the index-map path of spin_hom."""
     assert _adjunction_ranks((3,), (1, 2)) == (6, 6, 6)
     identity = (1, 2, 3)
 
@@ -586,6 +589,116 @@ def test_spun_hom_intertwines(module, max_n):
                 f = _expand(spun, m_mod.dim, dim_n, k)
                 for a_g, b_g in zip(dom, cod):
                     assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f)), (sigma, tau, k)
+
+
+def _generic_only(monkeypatch):
+    """Make spin_hom fail if it takes the index-map path."""
+
+    def refuse(*args):
+        raise AssertionError("spin_hom took the index-map path")
+
+    monkeypatch.setattr(oracle, "_index_spin", refuse)
+
+
+def _assert_same_spin(got, ref, label):
+    assert got.basis == ref.basis, label
+    assert got.images == ref.images, label
+    assert got.kernel == ref.kernel, label
+
+
+def test_index_spin_matches_generic_on_nil_coxeter():
+    """Both spins of _adjunction_ranks, at every sigma <= tau with n <= 5
+    on the nil-Coxeter module: every action is a partial permutation, and
+    the index-map spin returns the generic spin's basis, images and
+    kernel."""
+    spins = 0
+    for n, sigma, tau in _refinements(5):
+        m_mod, n_mod = NilCoxeterModule(sigma), NilCoxeterModule(tau)
+        _, systems = _adjunction_systems(sigma, tau, m_mod, n_mod)
+        for gens, cod_e, _, dim_n in systems:
+            dom = [m_mod.act_entries(g) for g in gens]
+            cod = [cod_e(g) for g in gens]
+            assert all(oracle._index_map(x) is not None for x in dom + cod)
+            _assert_same_spin(
+                spin_hom(dom, cod, m_mod.dim, dim_n),
+                oracle._generic_spin(dom, cod, m_mod.dim, dim_n),
+                (sigma, tau, dim_n),
+            )
+            spins += 1
+    assert spins == 242
+
+
+_SCALES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3))
+
+
+def _random_partial_permutation(rng, dim):
+    """A random partial permutation of size dim, its values among _SCALES."""
+    cols = rng.sample(range(dim), rng.randint(0, dim))
+    rows = rng.sample(range(dim), len(cols))
+    return {(r, c): rng.choice(_SCALES) for r, c in zip(rows, cols)}
+
+
+def _random_spin_input(rng):
+    """1-3 random generator actions on M and on N, of dimensions 1-7.  Half
+    the time N is M relabelled, so that Hom(M, N) is not zero."""
+    dim_m = rng.randint(1, 7)
+    gens = rng.randint(1, 3)
+    dom = [_random_partial_permutation(rng, dim_m) for _ in range(gens)]
+    if rng.random() < 0.5:
+        p = rng.sample(range(dim_m), dim_m)
+        cod = [{(p[r], p[c]): v for (r, c), v in a.items()} for a in dom]
+        return dom, cod, dim_m, dim_m
+    dim_n = rng.randint(1, 7)
+    cod = [_random_partial_permutation(rng, dim_n) for _ in range(gens)]
+    return dom, cod, dim_m, dim_n
+
+
+def test_index_spin_matches_generic_on_scaled_partial_permutations():
+    """Seeded random partial permutations with values +-1, 2 and 1/3, which
+    reach the scale arithmetic that the all-ones nil-Coxeter actions never
+    do: both spins agree field by field.  Most cases have equations that
+    cut the unknowns down, and most have a nonzero Hom space, whose kernel
+    vectors carry the scales."""
+    rng = random.Random(2020)
+    constrained = scaled = nonzero = 0
+    for case in range(400):
+        dom, cod, dim_m, dim_n = _random_spin_input(rng)
+        got = spin_hom(dom, cod, dim_m, dim_n)
+        _assert_same_spin(
+            got, oracle._generic_spin(dom, cod, dim_m, dim_n), (case, dom, cod)
+        )
+        constrained += got.kernel.cols < len(got.kernel.rows)
+        scaled += any(v != 1 for b in got.basis for v in b.values())
+        nonzero += got.kernel.cols > 0
+    assert constrained >= 300 and scaled >= 200 and nonzero >= 200
+
+
+@pytest.mark.parametrize("crowded", ["domain column", "codomain row"])
+def test_actions_that_are_not_partial_permutations_take_the_generic_spin(
+    monkeypatch, crowded
+):
+    """A second nonzero in a column of a domain action, or in a row of a
+    codomain action: spin_hom runs the generic spin, whose Hom space has
+    the dimension of the full intertwiner system."""
+    rng = random.Random(2021)
+    _generic_only(monkeypatch)
+    cases = 0
+    while cases < 50:
+        dom, cod, dim_m, dim_n = _random_spin_input(rng)
+        action, dim = (dom, dim_m) if crowded == "domain column" else (cod, dim_n)
+        x = action[0]
+        if not x or dim < 2:
+            continue
+        r, c = next(iter(x))
+        if crowded == "domain column":
+            x[(next(k for k in range(dim) if (k, c) not in x), c)] = Fraction(1)
+        else:
+            x[(r, next(k for k in range(dim) if (r, k) not in x))] = Fraction(-1)
+        assert oracle._index_map(x) is None
+        got = spin_hom(dom, cod, dim_m, dim_n)
+        _assert_same_spin(got, oracle._generic_spin(dom, cod, dim_m, dim_n), cases)
+        assert got.kernel.cols == _intertwiner_basis(dom, cod, dim_m, dim_n).cols
+        cases += 1
 
 
 def _dense_realized_fiber(pair, module):

@@ -591,15 +591,6 @@ def test_spun_hom_intertwines(module, max_n):
                     assert mat_eq(mat_mul(f, a_g), mat_mul(b_g, f)), (sigma, tau, k)
 
 
-def _generic_only(monkeypatch):
-    """Make spin_hom fail if it takes the index-map path."""
-
-    def refuse(*args):
-        raise AssertionError("spin_hom took the index-map path")
-
-    monkeypatch.setattr(oracle, "_index_spin", refuse)
-
-
 def _assert_same_spin(got, ref, label):
     assert got.basis == ref.basis, label
     assert got.images == ref.images, label
@@ -680,8 +671,12 @@ def test_actions_that_are_not_partial_permutations_take_the_generic_spin(
     """A second nonzero in a column of a domain action, or in a row of a
     codomain action: spin_hom runs the generic spin, whose Hom space has
     the dimension of the full intertwiner system."""
+
+    def refuse(*args):
+        raise AssertionError("spin_hom took the index-map path")
+
+    monkeypatch.setattr(oracle, "_index_spin", refuse)
     rng = random.Random(2021)
-    _generic_only(monkeypatch)
     cases = 0
     while cases < 50:
         dom, cod, dim_m, dim_n = _random_spin_input(rng)

@@ -45,10 +45,6 @@ class SparseMatrix(NamedTuple):
             out[r][c] = v
         return cls(out, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls([{i: ONE} for i in range(n)], n)
-
     def dense(self) -> Matrix:
         m = zeros(len(self.rows), self.cols)
         for out, row in zip(m, self.rows):

@@ -11,15 +11,21 @@ with a single induction step (`HomSpace`).  Nil-Coxeter coefficients see
 NH only through its quotient by the dots and h, where that decomposition
 is the parabolic factorization w = alpha o u of a permutation
 (`_NilCoxeter`); every other module goes through `module_decompose` in NH
-itself (`_NilHecke`).  Total fibers are iterated kernels computed on
-row-sparse matrices, from the edge entries to the final kernel; the dense
+itself (`_NilHecke`).  Total fibers are iterated kernels, read off the
+edge entries.  Each basis stays a set of coordinates while each lower
+coordinate has at most one preimage under the restricted edge, and falls
+back to elimination on row-sparse matrices otherwise; the dense
 `realize_map` and `action_matrix` are views for tests and small checks.
+The coordinate collapse reads the realized entries of `_two_layer_entries`,
+never the diagram engine's byte codes, and it checks containment and
+surjectivity instead of assuming them.
 The Hom spaces of the adjunction check are found by spinning the domain
 module under the generator actions (`spin_hom`), so their unknowns are
 the images of a few generators rather than whole matrices.  When every
 action is a partial permutation, as on nil-Coxeter modules and their
-induced modules, the spin runs on index maps, without Fraction rows;
-any other module takes the generic spin.  Nothing here
+induced modules, the spin runs on index maps, without Fraction rows, and
+the comparison rank is a count of kernel columns; any other module takes
+the generic spin and eliminates.  Nothing here
 reuses the set-difference shortcut of the diagram engine, so agreement
 between the two is evidence, not tautology.
 """
@@ -312,15 +318,28 @@ class RealizedFiber:
     split_surjective: bool
 
 
+Basis = list[int] | SparseMatrix  # sorted coordinates, or spanning columns
+
+
 def realized_total_fiber(pair: Pair, module=None) -> RealizedFiber:
     """Iterated exact kernels along the canonical collapse order.
 
-    Subspaces are tracked as explicit bases inside the original vertices:
-    row-sparse matrices whose columns span them.  Every collapse checks
-    that the edge maps the upper kernel into the lower one (strict
-    commutativity) and that the restricted map is onto (the
-    split-surjection property at matrix level).  The restricted map
-    is eliminated once: its kernel gives both the new basis and its rank.
+    Subspaces are tracked as explicit bases inside the original vertices.
+    Every collapse checks that the edge maps the upper kernel into the
+    lower one (strict commutativity) and that the restricted map is onto
+    (the split-surjection property at matrix level).
+
+    A basis starts as the sorted list of all its vertex's coordinates and
+    stays a coordinate list while each restricted map can be read off the
+    edge entries (`_coordinate_collapse`): when every lower coordinate has
+    at most one preimage among the upper ones, the kernel is the upper
+    coordinates whose columns are empty.  This is read from the realized
+    entries of `_two_layer_entries`, never from the diagram engine's byte
+    codes, and containment and surjectivity are checked there, not
+    assumed.  Any other step, and every later step from its basis on,
+    eliminates: the restricted map is solved for over row-sparse matrices
+    (coordinate lists as selection matrices), and its kernel gives both
+    the new basis and its rank.
     """
     spec = build_bifactorization(pair)
     if module is None:
@@ -331,11 +350,11 @@ def realized_total_fiber(pair: Pair, module=None) -> RealizedFiber:
         vertices[bits] = RealizedVertex(
             bc_vertex(spec, bits[:-1], bits[-1]), module
         )
-    state: dict[tuple[int, ...], tuple[tuple[int, ...], SparseMatrix]] = {
-        bits: (bits, SparseMatrix.identity(v.dim)) for bits, v in vertices.items()
+    state: dict[tuple[int, ...], tuple[tuple[int, ...], Basis]] = {
+        bits: (bits, list(range(v.dim))) for bits, v in vertices.items()
     }
     remaining = list(axes)
-    level_dims = [{bits: basis.cols for bits, (_, basis) in state.items()}]
+    level_dims = [{bits: _width(basis) for bits, (_, basis) in state.items()}]
     split_ok = True
     for axis in collapse_order(spec):
         pos = remaining.index(axis)
@@ -346,29 +365,72 @@ def realized_total_fiber(pair: Pair, module=None) -> RealizedFiber:
             low = index[:pos] + (1,) + index[pos + 1 :]
             full_bot, c_bot = state[low]
             top, bottom = vertices[full_top], vertices[full_bot]
-            edge = SparseMatrix.from_entries(
-                realize_entries(top, bottom), bottom.dim, top.dim
-            )
-            restricted = sparse_solve(c_bot, sparse_mul(edge, c_top))
-            ker = sparse_nullspace(restricted.rows, restricted.cols)
-            if c_top.cols - ker.cols != c_bot.cols:
+            entries = realize_entries(top, bottom)
+            step = None
+            if isinstance(c_top, list) and isinstance(c_bot, list):
+                step = _coordinate_collapse(entries, c_top, c_bot)
+            if step is None:
+                c_top, c_bot = _as_matrix(c_top, top.dim), _as_matrix(c_bot, bottom.dim)
+                edge = SparseMatrix.from_entries(entries, bottom.dim, top.dim)
+                restricted = sparse_solve(c_bot, sparse_mul(edge, c_top))
+                ker = sparse_nullspace(restricted.rows, restricted.cols)
+                step = sparse_mul(c_top, ker), c_top.cols - ker.cols
+            basis, image_dim = step
+            if image_dim != _width(c_bot):
                 split_ok = False
-            new_state[index[:pos] + index[pos + 1 :]] = (
-                full_top,
-                sparse_mul(c_top, ker),
-            )
+            new_state[index[:pos] + index[pos + 1 :]] = (full_top, basis)
         state = new_state
         remaining.pop(pos)
-        level_dims.append({bits: basis.cols for bits, (_, basis) in state.items()})
+        level_dims.append({bits: _width(basis) for bits, (_, basis) in state.items()})
     (full_index, kernel), = state.values()
+    corner = vertices[full_index]
     return RealizedFiber(
         pair=pair,
         module_dim=module.dim,
         level_dims=level_dims,
-        kernel=kernel,
-        corner=vertices[full_index],
+        kernel=_as_matrix(kernel, corner.dim),
+        corner=corner,
         split_surjective=split_ok,
     )
+
+
+def _coordinate_collapse(
+    entries: Entries, top: list[int], bottom: list[int]
+) -> tuple[list[int], int] | None:
+    """The kernel coordinates and the rank of the edge restricted to the
+    coordinate bases `top` -> `bottom`, or None when some lower coordinate
+    has two preimages among the upper ones.
+
+    Only entries in an upper column count, and each must land in a lower
+    coordinate.  With at most one entry per lower row, the nonempty upper
+    columns have disjoint supports: they span the image, and the empty
+    ones the kernel."""
+    upper, lower = set(top), set(bottom)
+    hit: dict[int, int] = {}
+    for r, c in entries:
+        if c not in upper:
+            continue
+        if r not in lower:
+            raise LinAlgError("inconsistent system: image leaves the subspace")
+        if r in hit:
+            return None
+        hit[r] = c
+    used = set(hit.values())
+    return [c for c in top if c not in used], len(used)
+
+
+def _width(basis: Basis) -> int:
+    return len(basis) if isinstance(basis, list) else basis.cols
+
+
+def _as_matrix(basis: Basis, dim: int) -> SparseMatrix:
+    """A basis as a (dim x width) matrix: coordinates become a selection."""
+    if not isinstance(basis, list):
+        return basis
+    rows: list[SparseRow] = [{} for _ in range(dim)]
+    for k, c in enumerate(basis):
+        rows[c] = {k: ONE}
+    return SparseMatrix(rows, len(basis))
 
 
 def oracle_matches_diagram(
@@ -527,8 +589,17 @@ def _adjunction_ranks(
         if r in image
     ]
     kernel = hom_big.kernel
-    comparison = sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel)
-    return hom_small.kernel.cols, kernel.cols, sparse_rank(comparison.rows)
+    return hom_small.kernel.cols, kernel.cols, _comparison_rank(rows, kernel)
+
+
+def _comparison_rank(rows: list[SparseRow], kernel: SparseMatrix) -> int:
+    """Rank of rows @ kernel.  When every row of both has at most one term,
+    as after an index-map spin, so has every row of the product, and its
+    rank is the number of distinct kernel columns that the rows reach; any
+    other input is multiplied out and eliminated."""
+    if any(len(row) > 1 for row in rows) or any(len(k) > 1 for k in kernel.rows):
+        return sparse_rank(sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel).rows)
+    return len({j for row in rows for u in row for j in kernel.rows[u]})
 
 
 @dataclass

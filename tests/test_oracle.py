@@ -18,16 +18,20 @@ from nilschober.algebra import (
     module_decompose,
     s_generators,
 )
+from nilschober.cli import main
 from nilschober.compositions import all_compositions, refinement_pairs, refines
 from nilschober.cubes import bc_vertex, build_bifactorization
 from nilschober.fiber import collapse_order, total_fiber
 from nilschober.linalg import (
+    LinAlgError,
+    SparseMatrix,
     identity_matrix,
     mat_eq,
     mat_mul,
     nullspace,
     rank,
     solve_matrix,
+    sparse_mul,
     sparse_nullspace,
     sparse_rank,
     zeros,
@@ -696,6 +700,58 @@ def test_actions_that_are_not_partial_permutations_take_the_generic_spin(
         cases += 1
 
 
+def _eliminated_rank(rows, kernel):
+    return sparse_rank(sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel).rows)
+
+
+def _one_term_rows(*row_lists):
+    return all(len(row) <= 1 for rows in row_lists for row in rows)
+
+
+def test_counted_comparison_rank_matches_elimination(monkeypatch):
+    """Every comparison of _adjunction_ranks with n <= 5 on nil-Coxeter
+    modules, where every comparison row and kernel row has one term at
+    most, so the rank is counted; and with n <= 3 on truncated modules,
+    whose generic spins reach the elimination too.  Each rank equals that
+    of the multiplied-out product."""
+    real = oracle._comparison_rank
+    counted = []
+
+    def checked(rows, kernel):
+        got = real(rows, kernel)
+        assert got == _eliminated_rank(rows, kernel)
+        counted.append(_one_term_rows(rows, kernel.rows))
+        return got
+
+    monkeypatch.setattr(oracle, "_comparison_rank", checked)
+    for _, sigma, tau in _refinements(5):
+        _adjunction_ranks(sigma, tau)
+    assert len(counted) == 121 and all(counted)
+    for sigma, tau, m_mod, n_mod in _truncated_cases():
+        _adjunction_ranks(sigma, tau, m_mod, n_mod)
+    assert not all(counted)
+
+
+def test_counted_comparison_rank_on_scaled_partial_permutations():
+    """The seeded cases of the scaled-permutation spin test, every image
+    row as a comparison row: the counted rank equals the eliminated one.
+    Many cases have several rows on one kernel column, and many reach
+    unknowns that the kernel kills, so counting rows or unknowns would
+    not do."""
+    rng = random.Random(2020)
+    merged = killed = 0
+    for case in range(400):
+        spun = spin_hom(*_random_spin_input(rng))
+        kernel = spun.kernel
+        rows = [row for image in spun.images for row in image.values()]
+        assert _one_term_rows(rows, kernel.rows), case
+        assert oracle._comparison_rank(rows, kernel) == _eliminated_rank(rows, kernel)
+        reached = [j for row in rows for u in row for j in kernel.rows[u]]
+        merged += len(reached) > len(set(reached))
+        killed += any(not kernel.rows[u] for row in rows for u in row)
+    assert merged >= 100 and killed >= 300
+
+
 def _dense_realized_fiber(pair, module):
     """Reference: the iterated kernels on dense matrices (realize_map,
     mat_mul, solve_matrix, rank, nullspace), one loop over the collapse
@@ -861,3 +917,119 @@ def test_zeroed_edge_block_breaks_split_surjectivity(monkeypatch):
     assert not realized_total_fiber(pair).split_surjective
     assert not oracle_matches_diagram(pair)
     assert broken == [(1, 0), (1, 0)]
+
+
+def _eliminated_fiber(monkeypatch, pair, module=None):
+    """realized_total_fiber with every collapse step on the elimination
+    path."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_coordinate_collapse", lambda *args: None)
+        return realized_total_fiber(pair, module)
+
+
+def _assert_same_fiber(got, ref, label):
+    """Equal level dimensions and split flags, and kernels of one span."""
+    assert got.level_dims == ref.level_dims, label
+    assert got.split_surjective == ref.split_surjective, label
+    assert got.corner.vertex.index == ref.corner.vertex.index, label
+    k = got.kernel.cols
+    assert len(got.kernel.rows) == len(ref.kernel.rows) == got.corner.dim, label
+    both = [{**a, **{k + c: v for c, v in b.items()}}
+            for a, b in zip(got.kernel.rows, ref.kernel.rows)]
+    assert sparse_rank(got.kernel.rows) == sparse_rank(ref.kernel.rows) == k, label
+    assert sparse_rank(both) == k, label
+
+
+@pytest.mark.parametrize(
+    "module_class, max_n",
+    [(NilCoxeterModule, 5), (TruncatedPolyModule, 4)],
+    ids=["nil-coxeter-n<=5", "truncated-n<=4"],
+)
+def test_coordinate_collapse_matches_elimination(monkeypatch, module_class, max_n):
+    """Every pair: the collapse on coordinate sets gives the fiber of the
+    elimination path."""
+    for n in range(2, max_n + 1):
+        for pair in two_part_pairs(n):
+            module = module_class(pair[0])
+            _assert_same_fiber(
+                realized_total_fiber(pair, module),
+                _eliminated_fiber(monkeypatch, pair, module),
+                pair,
+            )
+
+
+def _count_nullspaces(monkeypatch):
+    """The list that every later oracle.sparse_nullspace call appends to."""
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return sparse_nullspace(rows, ncols)
+
+    monkeypatch.setattr(oracle, "sparse_nullspace", counted)
+    return calls
+
+
+def test_nil_coxeter_collapses_never_eliminate(monkeypatch):
+    """Every restricted collapse map of every pair with n <= 5 has at most
+    one preimage per lower coordinate, so no step solves or takes a kernel
+    over Q."""
+    calls = _count_nullspaces(monkeypatch)
+    for n in range(2, 6):
+        for pair in two_part_pairs(n):
+            realized_total_fiber(pair)
+    assert calls == []
+
+
+def _with_entry(monkeypatch, edge, entry, value):
+    """realize_entries with one more entry on the edge between the vertices
+    with the indices `edge`."""
+    real = oracle.realize_entries
+
+    def patched(src, dst):
+        entries = real(src, dst)
+        if (src.vertex.index, dst.vertex.index) == edge:
+            entries = {**entries, entry: value}
+        return entries
+
+    monkeypatch.setattr(oracle, "realize_entries", patched)
+
+
+@pytest.mark.parametrize(
+    "pair, edge, entry, steps",
+    [
+        # the only step: upper coordinates 0 and 4 both hit lower row 0, so
+        # the kernel is no coordinate set and the rank drops by one
+        (((1, 2), (2, 1)), ((0,), (1,)), (0, 4), 1),
+        # the first step of two: upper coordinates 0 and 1 both hit lower
+        # row 0; the kernel keeps its coordinates, but its basis is now a
+        # matrix, so the step after it eliminates as well
+        (((1, 2), (1, 2)), ((0, 0), (0, 1)), (0, 1), 2),
+    ],
+)
+def test_two_preimages_take_the_elimination_path(monkeypatch, pair, edge, entry, steps):
+    """An edge with two upper coordinates on one lower row: that step, and
+    every later step on its basis, eliminates, and the fiber is the one of
+    the elimination path on the same edges."""
+    _with_entry(monkeypatch, edge, entry, Fraction(2))
+    ref = _eliminated_fiber(monkeypatch, pair)
+    calls = _count_nullspaces(monkeypatch)
+    got = realized_total_fiber(pair)
+    assert len(calls) == steps
+    _assert_same_fiber(got, ref, pair)
+
+
+def test_edge_entry_outside_the_lower_basis_raises(monkeypatch, tmp_path):
+    """An entry in an upper basis column of the last collapse edge of
+    ((1,2),(1,2)) whose row lies outside the lower basis: the image leaves
+    the subspace, as the elimination path reports, and check exits 3."""
+    pair = ((1, 2), (1, 2))
+    # the last step maps the basis coordinates 2..5 of vertex (0, 0) to
+    # the coordinates 4..7 of vertex (1, 0)
+    _with_entry(monkeypatch, ((0, 0), (1, 0)), (0, 2), Fraction(1))
+    with pytest.raises(LinAlgError, match="image leaves the subspace"):
+        _eliminated_fiber(monkeypatch, pair)
+    with pytest.raises(LinAlgError, match="image leaves the subspace"):
+        realized_total_fiber(pair)
+    assert main(["check", "--n", "3", "--pair", "1,2;1,2",
+                 "--json", str(tmp_path / "r.json")]) == 3

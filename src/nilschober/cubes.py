@@ -32,6 +32,9 @@ class CubeError(ValueError):
     pass
 
 
+_BYTES = bytes(range(256))  # the identity translate table
+
+
 @dataclass(frozen=True)
 class CubeSpec:
     """A bifactorization cube: vertex compositions over {0,1}^d.
@@ -191,24 +194,40 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
     """The composed products as byte codes: byte p-1 of a code is w(p).
 
     For each outer shuffle e, `f.translate(table)` with table[x] = e(x)
-    is `compose(e, f)`.  Products must be pairwise distinct, as in
+    is `compose(e, f)`.  The outer shuffles are never enumerated as one
+    set: each cd-block takes its words from the one-block set
+    `enumerate_shuffles((size,), parts)`, shifted into the block's value
+    range, and the tables are the concatenations of one word per block.
+    They stay n + 1 bytes long until the translate, which appends the
+    identity tail.  Products must be pairwise distinct, as in
     `word_factorizations`, or the vertex is ill-formed.
     """
     (cd, outer_fine), (inner_coarse, inner_fine) = vertex_hom_layers(word)
     n = total(cd)
     if n > 255:
         raise CubeError(f"byte-coded diagrams hold at most 255 strands, got {n}")
-    outer = enumerate_shuffles(cd, outer_fine)
+    tables = [b"\0"]
+    start = j = 0
+    for size in cd:
+        k, filled = j, 0
+        while filled < size:
+            filled += outer_fine[k]
+            k += 1
+        if filled != size:
+            raise CubeError(f"{outer_fine} does not refine {cd}")
+        shift = _BYTES[start:] + _BYTES[:start]
+        words = [
+            bytes(w).translate(shift)
+            for w in enumerate_shuffles((size,), outer_fine[j:k])
+        ]
+        tables = [t + w for t in tables for w in words]
+        start, j = start + size, k
     inner = [bytes(f) for f in enumerate_shuffles(inner_coarse, inner_fine)]
-    tail = bytes(range(n + 1, 256))
-    codes = frozenset(
-        f.translate(table)
-        for table in (bytes((0, *e)) + tail for e in outer)
-        for f in inner
-    )
-    if len(codes) < len(outer) * len(inner):
+    tail = _BYTES[n + 1 :]
+    codes = frozenset(f.translate(t + tail) for t in tables for f in inner)
+    if len(codes) < len(tables) * len(inner):
         raise CubeError(
-            f"{len(outer) * len(inner) - len(codes)} shuffle products "
+            f"{len(tables) * len(inner) - len(codes)} shuffle products "
             f"collide in {word.rows}"
         )
     return codes

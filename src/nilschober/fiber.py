@@ -10,7 +10,9 @@ through the palindrome axes outermost-last drives every
 pair to an empty residual or to the single total block crossing.
 
 Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
-each collapse is a frozenset difference.  They are decoded into sorted
+each collapse is one frozenset difference: the lower set lies inside the
+upper one exactly when the difference and the lower set together have as
+many codes as the upper set.  They are decoded into sorted
 one-line tuples only when `vertex_sets` is read; a mirrored level keeps
 the codes of the mirror pair and conjugates them back on that read.
 """
@@ -124,13 +126,14 @@ def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
         if index[pos] != 0:
             continue
         lower = cube.codes[index[:pos] + (1,) + index[pos + 1 :]]
-        if not lower <= upper:
+        kernel = upper - lower
+        if len(kernel) + len(lower) != len(upper):
             missing = lower - upper
             raise FiberContainmentError(
                 f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
                 f"missing from the upper set, e.g. {cube._decode(missing)[0]}"
             )
-        codes[index[:pos] + index[pos + 1 :]] = upper - lower
+        codes[index[:pos] + index[pos + 1 :]] = kernel
     return replace(cube, axes=rest, codes=codes)
 
 

@@ -264,8 +264,11 @@ def _two_layer_entries(
     Between one-layer vertices (inner_coarse == inner_fine, a `HomSpace`)
     the inner shuffles are the identity alone, and x_i lies in the inner
     algebra, so the inner split of x_i is {identity: x_i}: x_i acts
-    directly, in either ring.  Different (E_i, F_j) can land on one block,
-    so entries are summed and the cancelled ones dropped at the end."""
+    directly, in either ring.  Entries that land on one coordinate are
+    summed, and only those sums are tested for zero at the end, since the
+    module actions give nonzero entries; the other entries keep their
+    order.  Distinct products give distinct blocks, so on a well-formed
+    vertex nothing is summed."""
     module = src.module
     ring = _coefficients(module)
     dim_t = module.dim
@@ -276,6 +279,7 @@ def _two_layer_entries(
         src.inner_coarse == src.inner_fine and dst.inner_coarse == dst.inner_fine
     )
     out: Entries = {}
+    summed = set()
     for e in dst.e_set:
         outer = ring.split(src.cd, src.outer_fine, ring.times_perm(image, e, src.cd))
         if not outer:
@@ -296,8 +300,15 @@ def _two_layer_entries(
                     c0 = src.block_index[block] * dim_t
                     for (r, c), v in ring.act(module, y).items():
                         key = (r0 + r, c0 + c)
-                        out[key] = out[key] + v if key in out else v
-    return {key: v for key, v in out.items() if v}
+                        if key in out:
+                            out[key] += v
+                            summed.add(key)
+                        else:
+                            out[key] = v
+    for key in summed:
+        if not out[key]:
+            del out[key]
+    return out
 
 
 def realize_edge(top: BCVertex, bottom: BCVertex, module) -> Matrix:

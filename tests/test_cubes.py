@@ -16,6 +16,7 @@ from nilschober.cubes import (
     word_factorizations,
     word_products,
 )
+from nilschober.fiber import total_fiber
 from nilschober.report import two_part_pairs
 
 
@@ -187,6 +188,11 @@ def test_products_refuse_more_than_255_strands():
         word_products(FunctorWord(((256,),) * 5))
 
 
+def test_products_refuse_an_outer_layer_that_does_not_refine():
+    with pytest.raises(CubeError, match=r"\(2,\) does not refine \(1, 1\)"):
+        word_products(FunctorWord(((2,),) * 4 + ((1, 1),)))
+
+
 def test_repeated_shuffle_is_a_collision(monkeypatch):
     real = cubes_mod.enumerate_shuffles
 
@@ -198,6 +204,38 @@ def test_repeated_shuffle_is_a_collision(monkeypatch):
     cube = build_bifactorization(((1, 2), (2, 1)))
     with pytest.raises(CubeError, match="collide"):
         bc_vertex(cube, (), 0)
+
+
+def test_outer_layers_are_never_enumerated_as_one_set(monkeypatch):
+    """word_codes builds each outer layer (cd, outer_fine) from one-block
+    word lists: over the total fibers of every pair with n <= 8, from a
+    cleared cache, it never asks enumerate_shuffles for an outer layer of
+    more than one block (a key that is also the word's inner layer is
+    asked for as the inner layer)."""
+    real_layers = cubes_mod.vertex_hom_layers
+    real_shuffles = cubes_mod.enumerate_shuffles
+    current = []
+    asked = []
+
+    def layers(word):
+        current[:] = [real_layers(word)]
+        return current[0]
+
+    def shuffles(sigma, tau):
+        asked.append((*current[0], (sigma, tau)))
+        return real_shuffles(sigma, tau)
+
+    monkeypatch.setattr(cubes_mod, "vertex_hom_layers", layers)
+    monkeypatch.setattr(cubes_mod, "enumerate_shuffles", shuffles)
+    real_shuffles.cache_clear()
+    for n in range(2, 9):
+        for pair in two_part_pairs(n):
+            total_fiber(pair)
+    multi_block = [outer for outer, _, _ in asked if len(outer[0]) > 1]
+    assert len(multi_block) > 1000
+    assert not [
+        key for outer, inner, key in asked if key == outer != inner and len(key[0]) > 1
+    ]
 
 
 # The paper's per-case formulas, one branch per a >= c tag, as the

@@ -204,7 +204,11 @@ def test_terminal_cardinality():
 def test_wrong_collapse_order_fails_containment():
     cube = initial_cube(((2, 3), (2, 3)))
     cube = take_fiber_along(cube, "layer")
-    with pytest.raises(FiberContainmentError):
+    with pytest.raises(
+        FiberContainmentError,
+        match=r"^collapsing zeta at \(0, 0\): 6 lower diagrams missing from "
+        r"the upper set, e\.g\. \(1, 3, 2, 5, 4\)$",
+    ):
         take_fiber_along(cube, "zeta")
 
 

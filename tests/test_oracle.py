@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from copy import copy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
@@ -412,6 +413,28 @@ def test_hom_space_actions_match_module_decompose():
             assert got == ref, (space.outer, space.inner, space.module.tau, g)
         spaces += 1
     assert spaces > 0
+
+
+def test_contributions_that_cancel_are_dropped():
+    """Two source blocks that share a coordinate sum into one entry, and a
+    sum of zero is dropped while every other entry keeps its value and its
+    place.  X_2 on the truncated module induced from (1, 1, 1) to (3,)
+    draws on blocks 3 and 4 with opposite signs in block row 5, so giving
+    block 4 the coordinates of block 3 cancels four entries."""
+    space = HomSpace((3,), (1, 1, 1), TruncatedPolyModule((1, 1, 1)))
+    x2 = AlgebraElement.x_gen(3, 2, (3,))
+    t = space.module.dim
+    merged = copy(space)
+    merged.block_index = {**space.block_index, space.products[4]: 3}
+    ref: dict = {}
+    for (r, c), v in space.action_entries(x2).items():
+        key = (r, c - t if c // t == 4 else c)
+        ref[key] = ref.get(key, 0) + v
+    assert [key for key, v in ref.items() if not v] == [
+        (r, 3 * t + r - 44) for r in range(44, 48)
+    ]
+    got = list(oracle._two_layer_entries(merged, space, x2).items())
+    assert got == [(key, v) for key, v in ref.items() if v]
 
 
 def _dense_intertwiner_basis(dom, cod, dim_m, dim_n):

@@ -199,7 +199,8 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
     `enumerate_shuffles((size,), parts)`, shifted into the block's value
     range, and the tables are the concatenations of one word per block.
     They stay n + 1 bytes long until the translate, which appends the
-    identity tail.  Products must be pairwise distinct, as in
+    identity tail: the 518,400 full tables of ((6, 6), (1,) * 12) would
+    hold 133 MB.  Products must be pairwise distinct, as in
     `word_factorizations`, or the vertex is ill-formed.
     """
     (cd, outer_fine), (inner_coarse, inner_fine) = vertex_hom_layers(word)

@@ -19,13 +19,17 @@ back to elimination on row-sparse matrices otherwise; the dense
 The coordinate collapse reads the realized entries of `_two_layer_entries`,
 never the diagram engine's byte codes, and it checks containment and
 surjectivity instead of assuming them.
-The Hom spaces of the adjunction check are found by spinning the domain
-module under the generator actions (`spin_hom`), so their unknowns are
-the images of a few generators rather than whole matrices.  When every
-action is a partial permutation, as on nil-Coxeter modules and their
-induced modules, the spin runs on index maps, without Fraction rows, and
-the comparison rank is a count of kernel columns; any other module takes
-the generic spin and eliminates.  Nothing here
+The adjunction check spins Res M under the generator actions
+(`spin_hom`), so the unknowns of Hom_tau(Res M, N) are the values at a
+few seeds rather than whole matrices.  On the default M, the nil-Coxeter
+module of sigma, which is cyclic on e_id, Hom_sigma(M, Ind N) is the part
+of Ind N that the dots and h kill, with no second spin, and the
+comparison reads one block of Ind N per seed through the parabolic
+factorization; a caller-given M takes a second spin, into Ind N.  When
+every action is a partial permutation, as on nil-Coxeter modules and
+their induced modules, the spin runs on index maps, without Fraction
+rows, and the comparison rank is a count of kernel columns; any other
+module takes the generic spin and eliminates.  Nothing here
 reuses the set-difference shortcut of the diagram engine, so agreement
 between the two is evidence, not tautology.
 """
@@ -264,11 +268,10 @@ def _two_layer_entries(
     Between one-layer vertices (inner_coarse == inner_fine, a `HomSpace`)
     the inner shuffles are the identity alone, and x_i lies in the inner
     algebra, so the inner split of x_i is {identity: x_i}: x_i acts
-    directly, in either ring.  Entries that land on one coordinate are
-    summed, and only those sums are tested for zero at the end, since the
-    module actions give nonzero entries; the other entries keep their
-    order.  Distinct products give distinct blocks, so on a well-formed
-    vertex nothing is summed."""
+    directly, in either ring.  Distinct products give distinct blocks, and
+    the module actions give one nonzero entry per cell, so on a well-formed
+    vertex no two entries land on one coordinate; a second one raises
+    `OracleError`."""
     module = src.module
     ring = _coefficients(module)
     dim_t = module.dim
@@ -279,7 +282,6 @@ def _two_layer_entries(
         src.inner_coarse == src.inner_fine and dst.inner_coarse == dst.inner_fine
     )
     out: Entries = {}
-    summed = set()
     for e in dst.e_set:
         outer = ring.split(src.cd, src.outer_fine, ring.times_perm(image, e, src.cd))
         if not outer:
@@ -301,13 +303,11 @@ def _two_layer_entries(
                     for (r, c), v in ring.act(module, y).items():
                         key = (r0 + r, c0 + c)
                         if key in out:
-                            out[key] += v
-                            summed.add(key)
-                        else:
-                            out[key] = v
-    for key in summed:
-        if not out[key]:
-            del out[key]
+                            raise OracleError(
+                                f"two entries at coordinate {key}: blocks of "
+                                f"distinct products overlap"
+                            )
+                        out[key] = v
     return out
 
 
@@ -553,10 +553,18 @@ def check_bicartesian(module=None) -> bool:
 def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=None) -> bool:
     """Hom_tau(Res M, N) and Hom_sigma(M, Ind N) agree under evaluation.
 
-    Both Hom spaces are found by spinning M under the generator actions
-    (`spin_hom`); the canonical comparison map (evaluate at the identity
-    shuffle) must be a bijection between them: the two dimensions agree
-    and the comparison has full rank.
+    Every module is a right module: NH acts on M = NH_sigma/(X_i, h) by
+    e_u . w = e_{u o w}, and on Ind N = Hom_{NH_tau}(NH_sigma, N) by
+    (phi.g)(x) = phi(g x).  The canonical comparison map (evaluate at the
+    identity shuffle) must be a bijection: the two dimensions agree and
+    the comparison has full rank (`_adjunction_ranks`).
+
+    On the default M = NilCoxeterModule(sigma) the check is mostly
+    structural: the sigma side is the part of Ind N that the dots and h
+    kill, all of Ind N on nil-Coxeter N, and the comparison reads one block
+    of Ind N per seed of the Res-side spin.  What it still computes is
+    that spin, the X and h actions of Ind N, and the count of the
+    comparison rank.  A caller-given M, or a dotted N, makes it solve.
     """
     small, big, comparison = _adjunction_ranks(sigma, tau, m_mod, n_mod)
     return small == big == comparison
@@ -566,16 +574,23 @@ def _adjunction_ranks(
     sigma: Composition, tau: Composition, m_mod=None, n_mod=None
 ) -> tuple[int, int, int]:
     """dim Hom_tau(Res M, N), dim Hom_sigma(M, Ind N) and the rank of the
-    comparison map from the second to the first."""
+    comparison map from the second to the first.
+
+    Res M is spun under the tau generators (`spin_hom`).  When M is not
+    given, it is NilCoxeterModule(sigma), and the sigma side and the
+    comparison come from its universal property (`_cyclic_side`).  A
+    caller-given M need not be cyclic, so it takes a second spin, of M
+    into Ind N under the sigma generators.
+    """
     if not refines(sigma, tau):
         raise OracleError(f"{tau} does not refine {sigma}")
     n = total(sigma)
-    if m_mod is None:
+    cyclic = m_mod is None
+    if cyclic:
         m_mod = NilCoxeterModule(sigma)
     if n_mod is None:
         n_mod = NilCoxeterModule(tau)
     gens_tau = generators(n, tau)
-    gens_sigma = generators(n, sigma)
 
     hom_small = spin_hom(
         [m_mod.act_entries(g) for g in gens_tau],
@@ -584,28 +599,70 @@ def _adjunction_ranks(
         n_mod.dim,
     )
     ind = HomSpace(sigma, tau, n_mod)
-    hom_big = spin_hom(
-        [m_mod.act_entries(g) for g in gens_sigma],
-        [ind.action_entries(g) for g in gens_sigma],
-        m_mod.dim,
-        ind.dim,
-    )
-    # comparison: F -> the identity-shuffle block of F, read off the images
-    # F b_i of the spun basis (a basis of M), times the kernel
-    row0 = ind.index[tuple(range(1, n + 1))] * n_mod.dim
-    rows = [
-        image[r]
-        for image in hom_big.images
-        for r in range(row0, row0 + n_mod.dim)
-        if r in image
-    ]
-    kernel = hom_big.kernel
+    if cyclic:
+        kernel, rows = _cyclic_side(ind, m_mod, hom_small.seeds)
+    else:
+        gens_sigma = generators(n, sigma)
+        hom_big = spin_hom(
+            [m_mod.act_entries(g) for g in gens_sigma],
+            [ind.action_entries(g) for g in gens_sigma],
+            m_mod.dim,
+            ind.dim,
+        )
+        # comparison: F -> the identity-shuffle block of F, read off the
+        # images F b_i of the spun basis (a basis of M), times the kernel
+        row0 = ind.index[tuple(range(1, n + 1))] * n_mod.dim
+        rows = [
+            image[r]
+            for image in hom_big.images
+            for r in range(row0, row0 + n_mod.dim)
+            if r in image
+        ]
+        kernel = hom_big.kernel
     return hom_small.kernel.cols, kernel.cols, _comparison_rank(rows, kernel)
+
+
+def _cyclic_side(
+    ind: HomSpace, m_mod: NilCoxeterModule, seeds: list[int]
+) -> tuple[SparseMatrix, list[SparseRow]]:
+    """Hom_sigma(M, Ind N) for M = NilCoxeterModule(sigma), as a kernel
+    over the coordinates of Ind N, and the comparison as rows over them,
+    one per unknown of the Res-side spin: row k*dim N + r is coordinate r
+    of the value at seed k.
+
+    M is generated by e_id, and the annihilator of e_id is the right ideal
+    of the dots and h, the quotient that defines M.  So F -> v = F(e_id)
+    identifies the Hom space with {v in Ind N : v.X_i = 0, v.h = 0}: the
+    kernel of the rows of those actions of Ind N alone.  Evaluation sends
+    F to the tau-map e_w -> F(e_w)(id) = (v.w)(id) = v(w), which the
+    Res-side spin fixes by its values at the seeds.  With w = alpha o u
+    (`parabolic_decompose`), v(w) = v(alpha).u: the rows of seed e_w read
+    block alpha of v, acted on by u in N.
+    """
+    sigma, tau, n_mod = ind.outer, ind.inner, ind.module
+    n = total(sigma)
+    kills = [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
+    kills.append(AlgebraElement.h_scalar(n, 1, sigma))
+    equations = [
+        row for g in kills for row in _by_row(ind.action_entries(g)).values()
+    ]
+    ring = _coefficients(n_mod)
+    rows: list[SparseRow] = []
+    for seed in seeds:
+        alpha, u = parabolic_decompose(m_mod.basis[seed], tau)
+        c0 = ind.index[alpha] * n_mod.dim
+        act = ring.act(n_mod, ring.times_perm(None, u, tau))
+        rows.extend(
+            {c0 + c: x for c, x in row.items()}
+            for row in SparseMatrix.from_entries(act, n_mod.dim, n_mod.dim).rows
+        )
+    return sparse_nullspace(equations, ind.dim), rows
 
 
 def _comparison_rank(rows: list[SparseRow], kernel: SparseMatrix) -> int:
     """Rank of rows @ kernel.  When every row of both has at most one term,
-    as after an index-map spin, so has every row of the product, and its
+    as after an index-map spin or from `_cyclic_side` on nil-Coxeter N,
+    so has every row of the product, and its
     rank is the number of distinct kernel columns that the rows reach; any
     other input is multiplied out and eliminated."""
     if any(len(row) > 1 for row in rows) or any(len(k) > 1 for k in kernel.rows):
@@ -622,14 +679,17 @@ class SpunHom:
     {row of N: row over the unknowns}; `kernel` holds the solutions, as
     the columns of a matrix over the unknowns.  Seed k of the spin owns the
     unknowns k*dim N ... (k+1)*dim N - 1: its image, coordinate by
-    coordinate.  Both spins give the same value field by field; on partial
-    permutations each spun vector has one coordinate, each image row one
-    unknown, and image rows that scale by 1 are shared between images.
+    coordinate.  `seeds` holds the coordinate e of each seed's basis vector
+    e_e, in that order, so a solution is the map's values at the seeds.
+    Both spins give the same value field by field; on partial permutations
+    each spun vector has one coordinate, each image row one unknown, and
+    image rows that scale by 1 are shared between images.
     """
 
     basis: list[SparseRow]
     images: list[dict[int, SparseRow]]
     kernel: SparseMatrix
+    seeds: list[int]
 
 
 def spin_hom(
@@ -711,15 +771,15 @@ def _index_spin(
         images.append(image)
 
     maps = list(zip(a_maps, b_maps))
-    seeds = 0
+    seeds: list[int] = []
     for e in range(dim_m):
         if len(spun) == dim_m:
             break
         if e in owner:
             continue
         i = len(spun)
-        add(e, ONE, {r: {seeds * dim_n + r: ONE} for r in range(dim_n)})
-        seeds += 1
+        add(e, ONE, {r: {len(seeds) * dim_n + r: ONE} for r in range(dim_n)})
+        seeds.append(e)
         while i < len(spun):
             c, lam = spun[i]
             for (moves, scales), b_map in maps:
@@ -736,7 +796,8 @@ def _index_spin(
                     equations.extend(_differences(image, images[l], mu / spun[l][1]))
             i += 1
     basis = [{c: lam} for c, lam in spun]
-    return SpunHom(basis, images, sparse_nullspace(equations, seeds * dim_n))
+    kernel = sparse_nullspace(equations, len(seeds) * dim_n)
+    return SpunHom(basis, images, kernel, seeds)
 
 
 def _apply(b_map: _IndexMap, image: dict[int, SparseRow]) -> dict[int, SparseRow]:
@@ -811,15 +872,15 @@ def _generic_spin(
             return None
         return {t - dim_m: v for t, v in row.items()}
 
-    seeds = 0
+    seeds: list[int] = []
     for e in range(dim_m):
         if len(basis) == dim_m:
             break
         i = len(basis)
-        seed_image = {r: {seeds * dim_n + r: ONE} for r in range(dim_n)}
+        seed_image = {r: {len(seeds) * dim_n + r: ONE} for r in range(dim_n)}
         if place({e: ONE}, seed_image) is not None:
             continue
-        seeds += 1
+        seeds.append(e)
         while i < len(basis):
             for a, b in zip(a_cols, b_cols):
                 vec: SparseRow = {}
@@ -835,7 +896,8 @@ def _generic_spin(
                         _accumulate(lhs.setdefault(r, {}), v, row)
                 equations.extend(_nonzero_rows(lhs).values())
             i += 1
-    return SpunHom(basis, images, sparse_nullspace(equations, seeds * dim_n))
+    kernel = sparse_nullspace(equations, len(seeds) * dim_n)
+    return SpunHom(basis, images, kernel, seeds)
 
 
 def _by_column(entries: Entries) -> dict[int, SparseRow]:
@@ -843,6 +905,13 @@ def _by_column(entries: Entries) -> dict[int, SparseRow]:
     for (r, c), v in entries.items():
         cols.setdefault(c, {})[r] = v
     return cols
+
+
+def _by_row(entries: Entries) -> dict[int, SparseRow]:
+    rows: dict[int, SparseRow] = {}
+    for (r, c), v in entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
 
 
 def _times(cols: dict[int, SparseRow], rows: dict[int, SparseRow]) -> dict[int, SparseRow]:

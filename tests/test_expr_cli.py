@@ -474,6 +474,9 @@ CHECK_DIGESTS = {
     ("--n", "5", "--max-oracle", "5"): (
         "f0c622fb5e075300f4b119dfd7899a6af8e9481ea1a087b6345af012a1d60abf"
     ),
+    ("--n", "6", "--max-oracle", "6"): (
+        "f1cfdc1b9f8073cb95404a3c80c4c87adedac2527b2aa76ce4f6e0ce51727f96"
+    ),
 }
 
 

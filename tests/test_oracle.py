@@ -35,6 +35,7 @@ from nilschober.linalg import (
     sparse_mul,
     sparse_nullspace,
     sparse_rank,
+    sparse_solve,
     zeros,
 )
 from nilschober.oracle import (
@@ -268,11 +269,15 @@ def test_adjunction_single_block_five_strands():
 
 def test_adjunction_can_fail(monkeypatch):
     """One broken input per failure branch of check_adjunction at
-    ((3,), (1, 2)), where both Hom spaces have dimension 6.  The relabelled
-    split and the zero s_1 both leave every action a partial permutation,
-    so all of these spins take the index-map path of spin_hom."""
+    ((3,), (1, 2)), where both Hom spaces have dimension 6.  The first two
+    break Ind N's s-actions, which only the spin of a caller-given M reads,
+    so they pass M; the relabelled split and the zero s_1 both leave every
+    action a partial permutation, so these spins take the index-map path
+    of spin_hom.  The last two break the default path: a nonzero X entry
+    on Ind N, and a factorization that sends two seeds to one block."""
     assert _adjunction_ranks((3,), (1, 2)) == (6, 6, 6)
     identity = (1, 2, 3)
+    m_mod = NilCoxeterModule((3,))
 
     # the identity and last shuffles relabelled in every ((3,), (1, 2))
     # split: Ind N is no longer the induced module, and the dimensions
@@ -289,8 +294,8 @@ def test_adjunction_can_fail(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(oracle._NilCoxeter, "split", relabelled)
-        assert _adjunction_ranks((3,), (1, 2)) == (6, 1, 0)
-        assert not check_adjunction((3,), (1, 2))
+        assert _adjunction_ranks((3,), (1, 2), m_mod) == (6, 1, 0)
+        assert not check_adjunction((3,), (1, 2), m_mod)
 
     # s_1 acting by zero on Ind N: the dimensions agree, but evaluation at
     # the identity shuffle is no longer injective
@@ -301,7 +306,34 @@ def test_adjunction_can_fail(monkeypatch):
             return {}
         return real_entries(self, g)
 
-    monkeypatch.setattr(HomSpace, "action_entries", no_s1)
+    with monkeypatch.context() as m:
+        m.setattr(HomSpace, "action_entries", no_s1)
+        small, big, comparison = _adjunction_ranks((3,), (1, 2), m_mod)
+        assert small == big == 6 and comparison < 6
+        assert not check_adjunction((3,), (1, 2), m_mod)
+
+    # one nonzero entry in X_1 on Ind N: an equation of the default path,
+    # which drops a dimension from Hom(M, Ind N)
+    def x1_entry(self, g):
+        if g == AlgebraElement.x_gen(3, 1, self.outer):
+            return {(0, 0): Fraction(1)}
+        return real_entries(self, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(HomSpace, "action_entries", x1_entry)
+        small, big, comparison = _adjunction_ranks((3,), (1, 2))
+        assert small == 6 and big < 6
+        assert not check_adjunction((3,), (1, 2))
+
+    # the last seed factored through the identity shuffle: two seeds read
+    # one block of Ind N, so the comparison is not injective
+    real_decompose = oracle.parabolic_decompose
+
+    def merged(w, tau):
+        alpha, u = real_decompose(w, tau)
+        return (identity, u) if alpha == last else (alpha, u)
+
+    monkeypatch.setattr(oracle, "parabolic_decompose", merged)
     small, big, comparison = _adjunction_ranks((3,), (1, 2))
     assert small == big == 6 and comparison < 6
     assert not check_adjunction((3,), (1, 2))
@@ -415,26 +447,34 @@ def test_hom_space_actions_match_module_decompose():
     assert spaces > 0
 
 
-def test_contributions_that_cancel_are_dropped():
-    """Two source blocks that share a coordinate sum into one entry, and a
-    sum of zero is dropped while every other entry keeps its value and its
-    place.  X_2 on the truncated module induced from (1, 1, 1) to (3,)
-    draws on blocks 3 and 4 with opposite signs in block row 5, so giving
-    block 4 the coordinates of block 3 cancels four entries."""
+def test_overlapping_blocks_raise(capsys, monkeypatch):
+    """Two source blocks that share a coordinate are an internal error, not
+    a sum: distinct products give distinct blocks on a well-formed vertex.
+    X_2 on the truncated module induced from (1, 1, 1) to (3,) draws on
+    blocks 3 and 4 in block row 5, so giving block 4 the coordinates of
+    block 3 puts two entries on one coordinate.  The CLI reports it as
+    exit 3."""
     space = HomSpace((3,), (1, 1, 1), TruncatedPolyModule((1, 1, 1)))
     x2 = AlgebraElement.x_gen(3, 2, (3,))
     t = space.module.dim
+    blocks = {c // t for r, c in space.action_entries(x2) if r // t == 5}
+    assert {3, 4} <= blocks
     merged = copy(space)
     merged.block_index = {**space.block_index, space.products[4]: 3}
-    ref: dict = {}
-    for (r, c), v in space.action_entries(x2).items():
-        key = (r, c - t if c // t == 4 else c)
-        ref[key] = ref.get(key, 0) + v
-    assert [key for key, v in ref.items() if not v] == [
-        (r, 3 * t + r - 44) for r in range(44, 48)
-    ]
-    got = list(oracle._two_layer_entries(merged, space, x2).items())
-    assert got == [(key, v) for key, v in ref.items() if v]
+    with pytest.raises(OracleError, match="two entries at coordinate"):
+        oracle._two_layer_entries(merged, space, x2)
+
+    real_entries = oracle._two_layer_entries
+
+    def overlapping(src, dst, g):
+        src, dst = copy(src), copy(dst)
+        for vertex in (src, dst):
+            vertex.block_index = dict.fromkeys(vertex.block_index, 0)
+        return real_entries(src, dst, g)
+
+    monkeypatch.setattr(oracle, "_two_layer_entries", overlapping)
+    assert main(["check", "--n", "3"]) == 3
+    assert "two entries at coordinate" in capsys.readouterr().err
 
 
 def _dense_intertwiner_basis(dom, cod, dim_m, dim_n):
@@ -575,6 +615,72 @@ def test_spin_matches_full_system(cases, verdicts):
     assert set(seen.values()) == verdicts
 
 
+@pytest.mark.parametrize(
+    "coefficients, max_n", [(NilCoxeterModule, 5), (TruncatedPolyModule, 3)]
+)
+def test_universal_property_matches_spin(coefficients, max_n):
+    """Without M, _adjunction_ranks reads Hom(M, Ind N) and the comparison
+    off the universal property of M = NilCoxeterModule(sigma); given that
+    M, it spins M into Ind N.  Both give the same ranks for every
+    sigma <= tau: n <= 5 on nil-Coxeter N, where no X or h action on Ind N
+    has an entry, and n <= 3 on truncated N, where they give equations.
+    The full systems of test_spin_matches_full_system are too large for
+    sigma = (5,), and its truncated cases take a truncated M."""
+    cases = 0
+    for _, sigma, tau in _refinements(max_n):
+        n_mod = coefficients(tau)
+        spun = _adjunction_ranks(sigma, tau, NilCoxeterModule(sigma), n_mod)
+        assert _adjunction_ranks(sigma, tau, n_mod=n_mod) == spun, (sigma, tau)
+        cases += 1
+    assert cases == {5: 121, 3: 13}[max_n]
+
+
+class _ReversedNilCoxeterModule(NilCoxeterModule):
+    """The nil-Coxeter module with its basis in reverse lexicographic
+    order: the Res-side spin then opens seeds at e_w with w = alpha o u
+    and u not the identity."""
+
+    def __init__(self, tau):
+        super().__init__(tau)
+        self.basis.reverse()
+        self.index = {w: i for i, w in enumerate(self.basis)}
+
+
+@pytest.mark.parametrize("module", [NilCoxeterModule, _ReversedNilCoxeterModule])
+def test_comparison_lands_in_the_res_side_hom(monkeypatch, module):
+    """On the default path, the comparison rows send every solution of
+    Hom(M, Ind N) to values at the seeds of the Res-side spin that solve
+    its relations, so to a tau-map Res M -> N, for every sigma <= tau with
+    n <= 4.  With the basis reversed, some seeds lie off the shuffles, and
+    their rows act by u in N; the ranks stay prod(sigma_i!) throughout."""
+    spins, compared = [], []
+    real_spin, real_rank = oracle.spin_hom, oracle._comparison_rank
+
+    def recorded_spin(*args):
+        spins.append(real_spin(*args))
+        return spins[-1]
+
+    def recorded_rank(rows, kernel):
+        compared.append((rows, kernel))
+        return real_rank(rows, kernel)
+
+    monkeypatch.setattr(oracle, "NilCoxeterModule", module)
+    monkeypatch.setattr(oracle, "spin_hom", recorded_spin)
+    monkeypatch.setattr(oracle, "_comparison_rank", recorded_rank)
+    off_shuffles = 0
+    for _, sigma, tau in _refinements(4):
+        spins.clear()
+        compared.clear()
+        dim = NilCoxeterModule(sigma).dim
+        assert _adjunction_ranks(sigma, tau) == (dim, dim, dim), (sigma, tau)
+        (small,), ((rows, kernel),) = spins, compared
+        assert len(rows) == len(small.kernel.rows)
+        values = sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel)
+        sparse_solve(small.kernel, values)  # raises if a value leaves Hom
+        off_shuffles += len(small.seeds) > len(enumerate_shuffles(sigma, tau))
+    assert (off_shuffles > 0) == (module is _ReversedNilCoxeterModule)
+
+
 def _expand(spun, dim_m, dim_n, column):
     """The full map F (dim_n x dim_m) of one kernel column: F b_i is the
     image L_i at that solution, and the spun basis b_i spans M, so F is
@@ -619,6 +725,7 @@ def test_spun_hom_intertwines(module, max_n):
 
 
 def _assert_same_spin(got, ref, label):
+    assert got.seeds == ref.seeds, label
     assert got.basis == ref.basis, label
     assert got.images == ref.images, label
     assert got.kernel == ref.kernel, label

@@ -121,9 +121,16 @@ def all_compositions(n: int) -> list[Composition]:
 
 def refinement_pairs(n: int) -> list[tuple[Composition, Composition]]:
     """Every (sigma, tau) with sigma <= tau, sigma outer and tau inner, both
-    in `all_compositions` order."""
+    in `all_compositions` order.  The index of a composition there is its
+    presentation read as a binary number, so sigma <= tau exactly when the
+    bits of sigma's index lie among tau's (`refines`)."""
     comps = all_compositions(n)
-    return [(sigma, tau) for sigma in comps for tau in comps if refines(sigma, tau)]
+    return [
+        (sigma, comps[j])
+        for i, sigma in enumerate(comps)
+        for j in range(len(comps))
+        if i & j == i
+    ]
 
 
 def parse_composition(text: str) -> Composition:

@@ -19,17 +19,21 @@ back to elimination on row-sparse matrices otherwise; the dense
 The coordinate collapse reads the realized entries of `_two_layer_entries`,
 never the diagram engine's byte codes, and it checks containment and
 surjectivity instead of assuming them.
-The adjunction check spins Res M under the generator actions
-(`spin_hom`), so the unknowns of Hom_tau(Res M, N) are the values at a
-few seeds rather than whole matrices.  On the default M, the nil-Coxeter
-module of sigma, which is cyclic on e_id, Hom_sigma(M, Ind N) is the part
-of Ind N that the dots and h kill, with no second spin, and the
-comparison reads one block of Ind N per seed through the parabolic
-factorization; a caller-given M takes a second spin, into Ind N.  When
-every action is a partial permutation, as on nil-Coxeter modules and
-their induced modules, the spin runs on index maps, without Fraction
-rows, and the comparison rank is a count of kernel columns; any other
-module takes the generic spin and eliminates.  Nothing here
+The adjunction check fixes a map Res M -> N by its values at a few seeds.
+On the default M, the nil-Coxeter module of sigma, it spins nothing: the
+orbits of tau's crossings on M's cells are checked to be free and
+disjoint, so Res M is one copy of the nil-Coxeter algebra of tau per
+seed, and Hom_tau(Res M, N) one copy per seed of the part of N that the
+dots and h kill (`_free_seeds`); M is cyclic on e_id, so
+Hom_sigma(M, Ind N) is the part of Ind N that they kill; the comparison
+reads one block of Ind N per seed through the parabolic factorization.
+Orbits that are not free, and a caller-given M, take the spin of Res M
+under the generator actions (`spin_hom`), and a caller-given M a second
+spin, into Ind N.  When every action is a partial permutation, as on
+nil-Coxeter modules and their induced modules, the spin runs on index
+maps, without Fraction rows, and the comparison rank is a count of
+kernel columns; any other module takes the generic spin and
+eliminates.  Nothing here
 reuses the set-difference shortcut of the diagram engine, so agreement
 between the two is evidence, not tautology.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import factorial, prod
 from typing import NamedTuple
 
 from .algebra import (
@@ -50,6 +55,7 @@ from .algebra import (
     module_decompose,
     nil_coxeter_image,
     parabolic_decompose,
+    s_generators,
 )
 from .compositions import Composition, Pair, refines, total
 from .cubes import (
@@ -78,7 +84,7 @@ from .linalg import (
     sparse_rank,
     sparse_solve,
 )
-from .perms import Perm, block_cross, compose, nil_product
+from .perms import Perm, adjacent_transposition, block_cross, compose, nil_product
 from .shuffles import enumerate_shuffles
 
 
@@ -559,12 +565,17 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
     identity shuffle) must be a bijection: the two dimensions agree and
     the comparison has full rank (`_adjunction_ranks`).
 
-    On the default M = NilCoxeterModule(sigma) the check is mostly
-    structural: the sigma side is the part of Ind N that the dots and h
-    kill, all of Ind N on nil-Coxeter N, and the comparison reads one block
-    of Ind N per seed of the Res-side spin.  What it still computes is
-    that spin, the X and h actions of Ind N, and the count of the
-    comparison rank.  A caller-given M, or a dotted N, makes it solve.
+    On the default M = NilCoxeterModule(sigma) the check is structural
+    and spins nothing: Res M is one free module over the nil-Coxeter
+    algebra of tau per seed, so the tau side is one copy per seed of the
+    part of N that the dots and h kill; the sigma side is the part of
+    Ind N that they kill; both are all of the space on nil-Coxeter N, and
+    the comparison reads one block of Ind N per seed.  What it still
+    computes is the walk of M's tau-crossing cells, which checks that the
+    orbits are free and disjoint, the X and h actions of N and Ind N, and
+    the count of the comparison rank.  Orbits that are not free make it
+    spin Res M; a caller-given M makes it spin both sides, and a dotted N
+    makes it solve.
     """
     small, big, comparison = _adjunction_ranks(sigma, tau, m_mod, n_mod)
     return small == big == comparison
@@ -576,11 +587,15 @@ def _adjunction_ranks(
     """dim Hom_tau(Res M, N), dim Hom_sigma(M, Ind N) and the rank of the
     comparison map from the second to the first.
 
-    Res M is spun under the tau generators (`spin_hom`).  When M is not
-    given, it is NilCoxeterModule(sigma), and the sigma side and the
-    comparison come from its universal property (`_cyclic_side`).  A
-    caller-given M need not be cyclic, so it takes a second spin, of M
-    into Ind N under the sigma generators.
+    When M is not given, it is NilCoxeterModule(sigma).  Res M is then
+    checked to be free over NC_tau = NH_tau/(X_i, h), one copy per orbit of
+    the crossings inside tau's blocks (`_free_seeds`), so Hom_tau(Res M, N)
+    is one copy per seed of the part of N that the dots and h kill; the
+    sigma side and the comparison come from the universal property of M
+    (`_cyclic_side`).  If the orbits are not free, Res M is spun under the
+    tau generators (`spin_hom`) instead.  A caller-given M need not be
+    cyclic, so it takes both spins: of Res M into N, and of M into Ind N
+    under the sigma generators.
     """
     if not refines(sigma, tau):
         raise OracleError(f"{tau} does not refine {sigma}")
@@ -590,17 +605,24 @@ def _adjunction_ranks(
         m_mod = NilCoxeterModule(sigma)
     if n_mod is None:
         n_mod = NilCoxeterModule(tau)
-    gens_tau = generators(n, tau)
-
-    hom_small = spin_hom(
-        [m_mod.act_entries(g) for g in gens_tau],
-        [n_mod.act_entries(g) for g in gens_tau],
-        m_mod.dim,
-        n_mod.dim,
-    )
+    kills = [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
+    kills.append(AlgebraElement.h_scalar(n, 1, sigma))
+    seeds = _free_seeds(m_mod, tau) if cyclic else None
+    if seeds is None:
+        gens_tau = generators(n, tau)
+        hom_small = spin_hom(
+            [m_mod.act_entries(g) for g in gens_tau],
+            [n_mod.act_entries(g) for g in gens_tau],
+            m_mod.dim,
+            n_mod.dim,
+        )
+        small, seeds = hom_small.kernel.cols, hom_small.seeds
+    else:
+        killed = sparse_nullspace(_action_rows(n_mod.act_entries, kills), n_mod.dim)
+        small = len(seeds) * killed.cols
     ind = HomSpace(sigma, tau, n_mod)
     if cyclic:
-        kernel, rows = _cyclic_side(ind, m_mod, hom_small.seeds)
+        kernel, rows = _cyclic_side(ind, m_mod, seeds, kills)
     else:
         gens_sigma = generators(n, sigma)
         hom_big = spin_hom(
@@ -619,33 +641,83 @@ def _adjunction_ranks(
             if r in image
         ]
         kernel = hom_big.kernel
-    return hom_small.kernel.cols, kernel.cols, _comparison_rank(rows, kernel)
+    return small, kernel.cols, _comparison_rank(rows, kernel)
+
+
+def _free_seeds(m_mod: NilCoxeterModule, tau: Composition) -> list[int] | None:
+    """The seeds of Res M as a free module over NC_tau = NH_tau/(X_i, h),
+    or None when M's cells do not show it free.
+
+    The orbits are walked on M's cells of the crossings s_i inside tau's
+    blocks, read as index maps.  An orbit opens at the first coordinate
+    that no earlier orbit reached, the seed rule of `spin_hom`, so the
+    seeds are the spin's.  Dots and h kill M, so x -> e_seed . x factors
+    through NC_tau, and its image is the orbit's span.  When every orbit
+    has prod(tau_i!) = dim NC_tau coordinates and no two orbits meet, each
+    of these maps is onto a space of its own dimension, so an isomorphism,
+    and Res M is the direct sum of one NC_tau per seed (by the parabolic
+    factorization w = alpha o u, the seeds are the shuffles alpha).  None
+    when a cell map is not a partial permutation, an orbit has another
+    size, or two orbits meet."""
+    maps = []
+    for i in s_generators(tau):
+        cells = m_mod._action_cells(adjacent_transposition(m_mod.n, i))
+        moves = {c: r for r, c in cells}
+        if len(moves) < len(cells) or len(set(moves.values())) < len(moves):
+            return None
+        maps.append(moves)
+    size = prod(factorial(part) for part in tau)
+    owner = [-1] * m_mod.dim
+    seeds: list[int] = []
+    for e in range(m_mod.dim):
+        if owner[e] >= 0:
+            continue
+        k = len(seeds)
+        seeds.append(e)
+        owner[e] = k
+        orbit = [e]
+        for c in orbit:
+            for moves in maps:
+                r = moves.get(c)
+                if r is None or owner[r] == k:
+                    continue
+                if owner[r] >= 0:
+                    return None
+                owner[r] = k
+                orbit.append(r)
+        if len(orbit) != size:
+            return None
+    return seeds
+
+
+def _action_rows(entries_of, gens: list[AlgebraElement]) -> list[SparseRow]:
+    """The nonzero rows of every generator's action, one list."""
+    return [row for g in gens for row in _by_row(entries_of(g)).values()]
 
 
 def _cyclic_side(
-    ind: HomSpace, m_mod: NilCoxeterModule, seeds: list[int]
+    ind: HomSpace,
+    m_mod: NilCoxeterModule,
+    seeds: list[int],
+    kills: list[AlgebraElement],
 ) -> tuple[SparseMatrix, list[SparseRow]]:
     """Hom_sigma(M, Ind N) for M = NilCoxeterModule(sigma), as a kernel
     over the coordinates of Ind N, and the comparison as rows over them,
-    one per unknown of the Res-side spin: row k*dim N + r is coordinate r
-    of the value at seed k.
+    one per value of a tau-map Res M -> N at the seeds (of `_free_seeds`
+    or of the Res-side spin): row k*dim N + r is coordinate r of the value
+    at seed k.
 
     M is generated by e_id, and the annihilator of e_id is the right ideal
-    of the dots and h, the quotient that defines M.  So F -> v = F(e_id)
-    identifies the Hom space with {v in Ind N : v.X_i = 0, v.h = 0}: the
-    kernel of the rows of those actions of Ind N alone.  Evaluation sends
-    F to the tau-map e_w -> F(e_w)(id) = (v.w)(id) = v(w), which the
-    Res-side spin fixes by its values at the seeds.  With w = alpha o u
+    of the dots and h (`kills`: X_1 ... X_n and h), the quotient that
+    defines M.  So F -> v = F(e_id) identifies the Hom space with
+    {v in Ind N : v.X_i = 0, v.h = 0}: the kernel of the rows of those
+    actions of Ind N alone.  Evaluation sends F to the tau-map
+    e_w -> F(e_w)(id) = (v.w)(id) = v(w), which is fixed by its values at
+    the seeds.  With w = alpha o u
     (`parabolic_decompose`), v(w) = v(alpha).u: the rows of seed e_w read
     block alpha of v, acted on by u in N.
     """
-    sigma, tau, n_mod = ind.outer, ind.inner, ind.module
-    n = total(sigma)
-    kills = [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]
-    kills.append(AlgebraElement.h_scalar(n, 1, sigma))
-    equations = [
-        row for g in kills for row in _by_row(ind.action_entries(g)).values()
-    ]
+    tau, n_mod = ind.inner, ind.module
     ring = _coefficients(n_mod)
     rows: list[SparseRow] = []
     for seed in seeds:
@@ -656,7 +728,7 @@ def _cyclic_side(
             {c0 + c: x for c, x in row.items()}
             for row in SparseMatrix.from_entries(act, n_mod.dim, n_mod.dim).rows
         )
-    return sparse_nullspace(equations, ind.dim), rows
+    return sparse_nullspace(_action_rows(ind.action_entries, kills), ind.dim), rows
 
 
 def _comparison_rank(rows: list[SparseRow], kernel: SparseMatrix) -> int:

@@ -80,7 +80,7 @@ def test_refines_is_bitwise_dominance(n):
             assert refines(sigma, tau) == brute_refines(sigma, tau)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_refinement_pairs_is_the_double_loop(n):
     comps = all_compositions(n)
     brute = [

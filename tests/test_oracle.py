@@ -618,19 +618,23 @@ def test_spin_matches_full_system(cases, verdicts):
 @pytest.mark.parametrize(
     "coefficients, max_n", [(NilCoxeterModule, 5), (TruncatedPolyModule, 3)]
 )
-def test_universal_property_matches_spin(coefficients, max_n):
-    """Without M, _adjunction_ranks reads Hom(M, Ind N) and the comparison
-    off the universal property of M = NilCoxeterModule(sigma); given that
-    M, it spins M into Ind N.  Both give the same ranks for every
-    sigma <= tau: n <= 5 on nil-Coxeter N, where no X or h action on Ind N
-    has an entry, and n <= 3 on truncated N, where they give equations.
-    The full systems of test_spin_matches_full_system are too large for
-    sigma = (5,), and its truncated cases take a truncated M."""
+def test_universal_property_matches_spin(monkeypatch, coefficients, max_n):
+    """Without M, _adjunction_ranks reads Hom(Res M, N) off the free orbits
+    of M = NilCoxeterModule(sigma), and Hom(M, Ind N) and the comparison
+    off its universal property, with no spin; given that M, it spins both
+    sides.  Both give the same ranks for every sigma <= tau: n <= 5 on
+    nil-Coxeter N, where no X or h action on N or Ind N has an entry, and
+    n <= 3 on truncated N, where they give equations.  The full systems of
+    test_spin_matches_full_system are too large for sigma = (5,), and its
+    truncated cases take a truncated M."""
+    spins = _count_spins(monkeypatch)
     cases = 0
     for _, sigma, tau in _refinements(max_n):
         n_mod = coefficients(tau)
         spun = _adjunction_ranks(sigma, tau, NilCoxeterModule(sigma), n_mod)
+        spins.clear()
         assert _adjunction_ranks(sigma, tau, n_mod=n_mod) == spun, (sigma, tau)
+        assert spins == [], (sigma, tau)
         cases += 1
     assert cases == {5: 121, 3: 13}[max_n]
 
@@ -649,36 +653,96 @@ class _ReversedNilCoxeterModule(NilCoxeterModule):
 @pytest.mark.parametrize("module", [NilCoxeterModule, _ReversedNilCoxeterModule])
 def test_comparison_lands_in_the_res_side_hom(monkeypatch, module):
     """On the default path, the comparison rows send every solution of
-    Hom(M, Ind N) to values at the seeds of the Res-side spin that solve
-    its relations, so to a tau-map Res M -> N, for every sigma <= tau with
-    n <= 4.  With the basis reversed, some seeds lie off the shuffles, and
-    their rows act by u in N; the ranks stay prod(sigma_i!) throughout."""
-    spins, compared = [], []
-    real_spin, real_rank = oracle.spin_hom, oracle._comparison_rank
+    Hom(M, Ind N) to values at the seeds that solve the relations of a
+    reference spin of Res M under the tau generators, so to a tau-map
+    Res M -> N, for every sigma <= tau with n <= 4; the path's seeds are
+    that spin's.  With the basis reversed, some seeds lie off the shuffles,
+    and their rows act by u in N; the ranks stay prod(sigma_i!)
+    throughout."""
+    seeds, compared = [], []
+    real_side, real_rank = oracle._cyclic_side, oracle._comparison_rank
 
-    def recorded_spin(*args):
-        spins.append(real_spin(*args))
-        return spins[-1]
+    def recorded_side(ind, m_mod, path_seeds, kills):
+        seeds.append(path_seeds)
+        return real_side(ind, m_mod, path_seeds, kills)
 
     def recorded_rank(rows, kernel):
         compared.append((rows, kernel))
         return real_rank(rows, kernel)
 
     monkeypatch.setattr(oracle, "NilCoxeterModule", module)
-    monkeypatch.setattr(oracle, "spin_hom", recorded_spin)
+    monkeypatch.setattr(oracle, "_cyclic_side", recorded_side)
     monkeypatch.setattr(oracle, "_comparison_rank", recorded_rank)
     off_shuffles = 0
-    for _, sigma, tau in _refinements(4):
-        spins.clear()
+    for n, sigma, tau in _refinements(4):
+        seeds.clear()
         compared.clear()
-        dim = NilCoxeterModule(sigma).dim
+        m_mod, n_mod = module(sigma), module(tau)
+        gens = generators(n, tau)
+        ref = spin_hom(
+            [m_mod.act_entries(g) for g in gens],
+            [n_mod.act_entries(g) for g in gens],
+            m_mod.dim,
+            n_mod.dim,
+        )
+        dim = m_mod.dim
         assert _adjunction_ranks(sigma, tau) == (dim, dim, dim), (sigma, tau)
-        (small,), ((rows, kernel),) = spins, compared
-        assert len(rows) == len(small.kernel.rows)
+        (path_seeds,), ((rows, kernel),) = seeds, compared
+        assert path_seeds == ref.seeds, (sigma, tau)
+        assert len(rows) == len(ref.kernel.rows)
         values = sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel)
-        sparse_solve(small.kernel, values)  # raises if a value leaves Hom
-        off_shuffles += len(small.seeds) > len(enumerate_shuffles(sigma, tau))
+        sparse_solve(ref.kernel, values)  # raises if a value leaves Hom
+        off_shuffles += len(ref.seeds) > len(enumerate_shuffles(sigma, tau))
     assert (off_shuffles > 0) == (module is _ReversedNilCoxeterModule)
+
+
+def _count_spins(monkeypatch):
+    calls = []
+    real_spin = oracle.spin_hom
+
+    def counted(*args):
+        calls.append(args)
+        return real_spin(*args)
+
+    monkeypatch.setattr(oracle, "spin_hom", counted)
+    return calls
+
+
+# M = NilCoxeterModule((3,)) under tau = (1, 2) has three free orbits, its
+# s_2 cells (1, 0), (3, 2), (5, 4).  Dropping one leaves two orbits of one
+# coordinate each; the cell (0, 3) sends orbit {2, 3} into orbit {0, 1}.
+_S2 = (1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "broken, ranks",
+    [
+        pytest.param(lambda cells: cells[1:], (6, 6, 6), id="drop-first"),
+        pytest.param(lambda cells: cells[:1] + cells[2:], (6, 6, 6), id="drop-middle"),
+        pytest.param(lambda cells: cells[:2], (6, 6, 6), id="drop-last"),
+        pytest.param(lambda cells: cells + [(0, 3)], (4, 6, 6), id="join-orbits"),
+    ],
+)
+def test_orbits_that_are_not_free_take_the_spin(monkeypatch, broken, ranks):
+    """Negative control for the free orbits of the default path: with one
+    s_2 cell of M dropped or added at ((3,), (1, 2)), some orbit has the
+    wrong size or two orbits meet, so the path spins Res M once, and its
+    Res-side rank is that of the spin of the same M given by the caller.
+    The sigma side still comes from the universal property of M, which
+    reads no action of M."""
+    real_cells = NilCoxeterModule._action_cells
+
+    def cells(self, w):
+        out = real_cells(self, w)
+        return broken(list(out)) if self.tau == (3,) and w == _S2 else out
+
+    monkeypatch.setattr(NilCoxeterModule, "_action_cells", cells)
+    assert oracle._free_seeds(NilCoxeterModule((3,)), (1, 2)) is None
+    spins = _count_spins(monkeypatch)
+    assert _adjunction_ranks((3,), (1, 2)) == ranks
+    assert len(spins) == 1
+    given = _adjunction_ranks((3,), (1, 2), m_mod=NilCoxeterModule((3,)))
+    assert given[0] == ranks[0]
 
 
 def _expand(spun, dim_m, dim_n, column):

@@ -29,13 +29,9 @@ Hom_sigma(M, Ind N) is the part of Ind N that they kill; the comparison
 reads one block of Ind N per seed through the parabolic factorization.
 Orbits that are not free, and a caller-given M, take the spin of Res M
 under the generator actions (`spin_hom`), and a caller-given M a second
-spin, into Ind N.  When every action is a partial permutation, as on
-nil-Coxeter modules and their induced modules, the spin runs on index
-maps, without Fraction rows, and the comparison rank is a count of
-kernel columns; any other module takes the generic spin and
-eliminates.  Nothing here
-reuses the set-difference shortcut of the diagram engine, so agreement
-between the two is evidence, not tautology.
+spin, into Ind N.  Nothing here reuses the set-difference shortcut of
+the diagram engine, so agreement between the two is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial, prod
-from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -74,7 +69,6 @@ from .linalg import (
     SparseMatrix,
     SparseRow,
     _reduce,
-    _subtract,
     from_entries,
     mat_eq,
     mat_mul,
@@ -733,10 +727,9 @@ def _cyclic_side(
 
 def _comparison_rank(rows: list[SparseRow], kernel: SparseMatrix) -> int:
     """Rank of rows @ kernel.  When every row of both has at most one term,
-    as after an index-map spin or from `_cyclic_side` on nil-Coxeter N,
-    so has every row of the product, and its
-    rank is the number of distinct kernel columns that the rows reach; any
-    other input is multiplied out and eliminated."""
+    as from `_cyclic_side` on nil-Coxeter N, so has every row of the
+    product, and its rank is the number of distinct kernel columns that
+    the rows reach; any other input is multiplied out and eliminated."""
     if any(len(row) > 1 for row in rows) or any(len(k) > 1 for k in kernel.rows):
         return sparse_rank(sparse_mul(SparseMatrix(rows, len(kernel.rows)), kernel).rows)
     return len({j for row in rows for u in row for j in kernel.rows[u]})
@@ -753,9 +746,6 @@ class SpunHom:
     unknowns k*dim N ... (k+1)*dim N - 1: its image, coordinate by
     coordinate.  `seeds` holds the coordinate e of each seed's basis vector
     e_e, in that order, so a solution is the map's values at the seeds.
-    Both spins give the same value field by field; on partial permutations
-    each spun vector has one coordinate, each image row one unknown, and
-    image rows that scale by 1 are shared between images.
     """
 
     basis: list[SparseRow]
@@ -783,146 +773,11 @@ def spin_hom(
     construction or by a relation.  There are seeds * dim N unknowns
     instead of the dim M * dim N of the full intertwiner system.
 
-    When every A_g and B_g is a partial permutation (at most one nonzero
-    per row and per column), as on a `NilCoxeterModule` and its induced
-    modules, the spin runs on index maps (`_index_spin`); any other input,
-    such as a module where dots and h act, takes the spin on Fraction
-    rows (`_generic_spin`).
-    """
-    a_maps = [_index_map(a) for a in dom_actions]
-    b_maps = [_index_map(b) for b in cod_actions]
-    if any(m is None for m in a_maps + b_maps):
-        return _generic_spin(dom_actions, cod_actions, dim_m, dim_n)
-    return _index_spin(a_maps, b_maps, dim_m, dim_n)
-
-
-class _IndexMap(NamedTuple):
-    """A partial permutation: `moves` sends a column to the row of its one
-    nonzero, and `scales` holds that value where it is not 1."""
-
-    moves: dict[int, int]
-    scales: dict[int, Fraction]
-
-
-def _index_map(entries: Entries) -> _IndexMap | None:
-    """The entries as a partial permutation, or None if some row or column
-    holds two of them."""
-    moves: dict[int, int] = {}
-    scales: dict[int, Fraction] = {}
-    for (r, c), v in entries.items():
-        if c in moves:
-            return None
-        moves[c] = r
-        if v != 1:
-            scales[c] = v
-    if len(set(moves.values())) < len(moves):
-        return None
-    return _IndexMap(moves, scales)
-
-
-def _index_spin(
-    a_maps: list[_IndexMap], b_maps: list[_IndexMap], dim_m: int, dim_n: int
-) -> SpunHom:
-    """`spin_hom` on partial permutations.
-
-    Every spun vector is lambda e_c, so it lies in the span exactly when c
-    is the coordinate of an earlier one (`owner`), and A_g b_i = mu e_r is
-    then (mu / lambda_l) b_l.  Every image row is one term over the
-    unknowns, which B_g moves to one row (`_apply`); a relation compares
-    B_g L_i with (mu / lambda_l) L_l row by row, and only rows that differ
-    become equations (`_differences`).
-    """
-    owner: dict[int, int] = {}
-    spun: list[tuple[int, Fraction]] = []
-    images: list[dict[int, SparseRow]] = []
-    equations: list[SparseRow] = []
-
-    def add(c: int, lam: Fraction, image: dict[int, SparseRow]) -> None:
-        owner[c] = len(spun)
-        spun.append((c, lam))
-        images.append(image)
-
-    maps = list(zip(a_maps, b_maps))
-    seeds: list[int] = []
-    for e in range(dim_m):
-        if len(spun) == dim_m:
-            break
-        if e in owner:
-            continue
-        i = len(spun)
-        add(e, ONE, {r: {len(seeds) * dim_n + r: ONE} for r in range(dim_n)})
-        seeds.append(e)
-        while i < len(spun):
-            c, lam = spun[i]
-            for (moves, scales), b_map in maps:
-                image = _apply(b_map, images[i])
-                r = moves.get(c)
-                if r is None:  # A_g b_i = 0: each row of B_g L_i is an equation
-                    equations.extend(image.values())
-                    continue
-                mu = lam * scales[c] if c in scales else lam
-                l = owner.get(r)
-                if l is None:
-                    add(r, mu, image)
-                else:
-                    equations.extend(_differences(image, images[l], mu / spun[l][1]))
-            i += 1
-    basis = [{c: lam} for c, lam in spun]
-    kernel = sparse_nullspace(equations, len(seeds) * dim_n)
-    return SpunHom(basis, images, kernel, seeds)
-
-
-def _apply(b_map: _IndexMap, image: dict[int, SparseRow]) -> dict[int, SparseRow]:
-    """B L for a partial permutation B and an image L, as nonzero rows,
-    walking the shorter of B's columns and L's rows; a row that B moves
-    with value 1 is shared, not copied."""
-    moves, scales = b_map
-    if len(image) <= len(moves):
-        out = {moves[k]: row for k, row in image.items() if k in moves}
-    else:
-        out = {r: image[k] for k, r in moves.items() if k in image}
-    for k, b in scales.items():
-        if k in image:
-            out[moves[k]] = {u: b * x for u, x in image[k].items()}
-    return out
-
-
-def _differences(
-    lhs: dict[int, SparseRow], rhs: dict[int, SparseRow], f: Fraction
-) -> list[SparseRow]:
-    """The nonzero rows of lhs - f * rhs; a row shared by both cancels
-    when f is 1, without arithmetic."""
-    unit = f == 1
-    out: list[SparseRow] = []
-    matched = 0
-    for r, row in lhs.items():
-        other = rhs.get(r)
-        if other is None:
-            out.append(row)
-            continue
-        matched += 1
-        if unit and other is row:
-            continue
-        eq = dict(row)
-        _subtract(eq, f, other)
-        if eq:
-            out.append(eq)
-    if matched < len(rhs):
-        for r, other in rhs.items():
-            if r not in lhs:
-                eq = {}
-                _subtract(eq, f, other)
-                out.append(eq)
-    return out
-
-
-def _generic_spin(
-    dom_actions: list[Entries], cod_actions: list[Entries], dim_m: int, dim_n: int
-) -> SpunHom:
-    """`spin_hom` on Fraction rows, for any actions.  The span is kept in
+    The spin runs on Fraction rows, for any actions.  The span is kept in
     echelon form, each row extended by its expression in the spun basis
     (the columns from dim M on), which gives the relation of a spun vector
-    inside the span."""
+    inside the span.
+    """
     a_cols = [_by_column(a) for a in dom_actions]
     b_cols = [_by_column(b) for b in cod_actions]
     pivots: dict[int, SparseRow] = {}

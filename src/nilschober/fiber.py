@@ -5,16 +5,23 @@ Every vertex of the cube is spanned, over the coefficient module, by the
 composed shuffle products of its functor word.  The collapse of an axis
 takes kernels of split surjections, which at the diagram level is a set
 difference: the lower vertex's products sit inside the upper vertex's, and
-the kernel is spanned by the complement.  Iterating layer-first and then
-through the palindrome axes outermost-last drives every
-pair to an empty residual or to the single total block crossing.
+the kernel is spanned by the complement.  Collapsing layer-first and
+then through the palindrome axes outermost-last drives every pair to an
+empty residual or to the single total block crossing.
+
+The collapses form a binary tree: each vertex of a lower level is the
+difference of two vertices of the level above, and feeds one vertex
+below it.  `total_fiber` walks that tree depth first, so it holds one
+pending set per level instead of whole levels, and keeps only each
+level's sizes and the residual.  `initial_cube` and `take_fiber_along`
+build whole levels, for the readers of a level's sets.
 
 Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
-each collapse is one frozenset difference: the lower set lies inside the
-upper one exactly when the difference and the lower set together have as
-many codes as the upper set.  They are decoded into sorted
-one-line tuples only when `vertex_sets` is read; a mirrored level keeps
-the codes of the mirror pair and conjugates them back on that read.
+each collapse is one frozenset difference (`_kernel`): the lower set lies
+inside the upper one exactly when the difference and the lower set
+together have as many codes as the upper set.  They are decoded into
+sorted one-line tuples only when `vertex_sets` is read; a mirrored level
+keeps the codes of the mirror pair and conjugates them back on that read.
 """
 
 from __future__ import annotations
@@ -88,8 +95,7 @@ def collapse_order(cube: CubeSpec) -> list[str]:
 
     The trailing (zeta/eta) axes may also be collapsed in reverse, with
     the same result.  Orders that move the layer later or permute the eps
-    axes break the set-level containment and are rejected by
-    take_fiber_along.
+    axes break the set-level containment and are rejected by `_kernel`.
     """
     axes = cube.bc_axes()
     eps = sorted(
@@ -126,46 +132,102 @@ def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
         if index[pos] != 0:
             continue
         lower = cube.codes[index[:pos] + (1,) + index[pos + 1 :]]
-        kernel = upper - lower
-        if len(kernel) + len(lower) != len(upper):
-            missing = lower - upper
-            raise FiberContainmentError(
-                f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
-                f"missing from the upper set, e.g. {cube._decode(missing)[0]}"
-            )
+        kernel = _kernel(upper, lower, axis, index, cube._decode)
         codes[index[:pos] + index[pos + 1 :]] = kernel
     return replace(cube, axes=rest, codes=codes)
 
 
+def _kernel(upper: Codes, lower: Codes, axis: str, index: Index, decode) -> Codes:
+    """upper - lower, collapsing `axis` at the upper vertex `index`; raises
+    FiberContainmentError unless lower lies inside upper."""
+    kernel = upper - lower
+    if len(kernel) + len(lower) != len(upper):
+        missing = lower - upper
+        raise FiberContainmentError(
+            f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
+            f"missing from the upper set, e.g. {decode(missing)[0]}"
+        )
+    return kernel
+
+
+def _collapse(
+    spec: CubeSpec, order: tuple[str, ...]
+) -> tuple[Codes, list[dict[Index, int]]]:
+    """The residual codes of the Beck-Chevalley cube of `spec`, collapsed
+    along `order`, and the size of every vertex at every level, top first.
+
+    Depth first: the vertex left after the first j collapses is the kernel
+    of the two vertices left after j - 1 with order[j - 1] at 0 and at 1.
+    Each top vertex is built once, and only the pending upper set of each
+    level is kept while its lower one is built.
+    """
+    axes = spec.bc_axes()
+    remaining = [
+        tuple(a for a in axes if a not in order[:j]) for j in range(len(axes) + 1)
+    ]
+    sizes: list[dict[Index, int]] = [{} for _ in remaining]
+    bits = dict.fromkeys(axes, 0)
+
+    def walk(j: int) -> Codes:
+        if j == 0:
+            *beta, layer = (bits[a] for a in axes)
+            codes = bc_vertex(spec, tuple(beta), layer).codes
+        else:
+            axis = order[j - 1]
+            bits[axis] = 0
+            index = tuple(bits[a] for a in remaining[j - 1])
+            upper = walk(j - 1)
+            bits[axis] = 1
+            codes = _kernel(upper, walk(j - 1), axis, index, decode_sorted)
+        sizes[j][tuple(bits[a] for a in remaining[j])] = len(codes)
+        return codes
+
+    return walk(len(axes)), sizes
+
+
 @dataclass
 class FiberReport:
-    """Outcome of the total-fiber computation for one pair."""
+    """Outcome of the total-fiber computation for one pair.
+
+    `sizes` holds every level's vertex sizes by index, top level first, and
+    `order` the axes in the order they were collapsed.  `levels` rebuilds
+    the level cubes, with their sets, along that order when read.
+    """
 
     pair: Pair
     case: PairCase
     mirrored: bool
-    levels: list[IntermediateCube]
+    order: tuple[str, ...]
+    sizes: list[dict[Index, int]]
     verdict: str  # "Vanishes" | "FlipEquivalence" | "Other"
     residual: DiagramSet
 
     def level_table(self) -> list[tuple[int, list[tuple[Index, int]]]]:
-        out = []
-        for cube in self.levels:
-            entries = sorted(
-                (index, len(codes)) for index, codes in cube.codes.items()
-            )
-            out.append((cube.level, entries))
-        return out
+        top = len(self.order)
+        return [(top - k, sorted(level.items())) for k, level in enumerate(self.sizes)]
+
+    @cached_property
+    def levels(self) -> list[IntermediateCube]:
+        """Every level's cube, top first, built level at a time."""
+        cube = initial_cube(mirror_pair(self.pair) if self.mirrored else self.pair)
+        levels = [cube]
+        for axis in self.order:
+            cube = take_fiber_along(cube, axis)
+            levels.append(cube)
+        if self.mirrored:
+            levels = [replace(c, pair=self.pair, mirrored=True) for c in levels]
+        return levels
 
 
 def total_fiber(pair: Pair) -> FiberReport:
-    """Collapse the whole Beck-Chevalley cube of the pair.
+    """Collapse the whole Beck-Chevalley cube of the pair, depth first.
 
-    Mirrored (a < c) pairs are computed on the mirrored pair; each level
-    keeps those codes and conjugates them back by the order reversal when
-    its `vertex_sets` is read.  The report records that the mirror was
-    used.  Collapsing a mirrored pair on its own cube gives the same sets,
-    but the transport stays: the mirror pair's shuffles are those of an
+    The report keeps each level's sizes and the residual; the level sets
+    are rebuilt only when `levels` is read.  Mirrored (a < c) pairs are
+    computed on the mirrored pair, and the residual is conjugated back by
+    the order reversal.  The report records that the mirror was used.
+    Collapsing a mirrored pair on its own cube gives the same sets, but
+    the transport stays: the mirror pair's shuffles are those of an
     unmirrored pair, already cached, so the sweep enumerates and keeps
     fewer of them.
 
@@ -177,19 +239,15 @@ def total_fiber(pair: Pair) -> FiberReport:
     case = classify_pair(*pair)
     compute_pair = mirror_pair(pair) if case.mirrored else pair
     spec = build_bifactorization(compute_pair)
-    cube = initial_cube(compute_pair)
-    levels = [cube]
-    for axis in collapse_order(spec):
-        cube = take_fiber_along(cube, axis)
-        levels.append(cube)
-    if case.mirrored:
-        levels = [replace(c, pair=pair, mirrored=True) for c in levels]
-    residual = levels[-1].vertex_sets[()]
+    order = tuple(collapse_order(spec))
+    codes, sizes = _collapse(spec, order)
+    residual = IntermediateCube(pair, (), {(): codes}, case.mirrored).vertex_sets[()]
     return FiberReport(
         pair=pair,
         case=case,
         mirrored=case.mirrored,
-        levels=levels,
+        order=order,
+        sizes=sizes,
         verdict=verdict_of(pair, residual),
         residual=residual,
     )

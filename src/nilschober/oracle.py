@@ -462,11 +462,11 @@ def oracle_matches_diagram(
         report = total_fiber(pair)
     if realized.pair != pair or report.pair != pair:
         raise OracleError(f"fibers given for another pair than {pair}")
-    if len(report.levels) != len(realized.level_dims):
+    if len(report.sizes) != len(realized.level_dims):
         return False
-    for cube, dims in zip(report.levels, realized.level_dims):
-        for index, codes in cube.codes.items():
-            if dims[index] != len(codes) * realized.module_dim:
+    for sizes, dims in zip(report.sizes, realized.level_dims):
+        for index, size in sizes.items():
+            if dims[index] != size * realized.module_dim:
                 return False
     return realized.split_surjective
 

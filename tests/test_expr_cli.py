@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -579,21 +578,21 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert main(["render", "--pair", "1,1;1,1", "--level", "9",
                  "--out", str(tmp_path)]) == 2
     assert main(["check", "--n", "3", "--pair", "1,1;1,1"]) == 2
-    real = fiber_mod.take_fiber_along
+    real = fiber_mod._kernel
 
-    def other(cube, axis):
-        child = real(cube, axis)
-        if child.level:
-            return child
-        return replace(child, codes={(): frozenset({bytes((1, 2))})})
+    def other(upper, lower, axis, index, decode):
+        kernel = real(upper, lower, axis, index, decode)
+        if len(index) > 1:
+            return kernel
+        return frozenset({bytes((1, 2))})  # a wrong residual: the identity
 
-    monkeypatch.setattr(fiber_mod, "take_fiber_along", other)
+    monkeypatch.setattr(fiber_mod, "_kernel", other)
     assert main(check) == 1
 
-    def broken(cube, axis):
+    def broken(upper, lower, axis, index, decode):
         raise FiberContainmentError("lower set not inside the upper set")
 
-    monkeypatch.setattr(fiber_mod, "take_fiber_along", broken)
+    monkeypatch.setattr(fiber_mod, "_kernel", broken)
     assert main(check) == 3
     err = capsys.readouterr().err
     assert "internal error: lower set not inside the upper set" in err

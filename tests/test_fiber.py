@@ -1,5 +1,6 @@
 """The set-difference fiber engine and the structural axiom checks."""
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from nilschober.fiber import (
     is_twist_pair,
     take_fiber_along,
     total_fiber,
+    verdict_of,
 )
 from nilschober.cubes import build_bifactorization
 from nilschober.oracle import HomSpace
@@ -199,6 +201,70 @@ def test_terminal_cardinality():
         terminal = next(cube for cube in rep.levels if cube.level == m)
         for dset in terminal.vertex_sets.values():
             assert len(dset) == comb(c + m, c)
+
+
+def _level_at_a_time(pair):
+    """(level table, residual) of the pair, collapsed one whole level at a
+    time with initial_cube and take_fiber_along."""
+    compute = mirror_pair(pair) if classify_pair(*pair).mirrored else pair
+    cube = initial_cube(compute)
+    table = []
+    for axis in [*collapse_order(build_bifactorization(compute)), None]:
+        table.append((cube.level, sorted((i, len(c)) for i, c in cube.codes.items())))
+        if axis is not None:
+            cube = take_fiber_along(cube, axis)
+    residual = replace(cube, pair=pair, mirrored=compute != pair).vertex_sets[()]
+    return table, residual
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_depth_first_matches_level_at_a_time(n):
+    for pair in two_part_pairs(n):
+        rep = total_fiber(pair)
+        table, residual = _level_at_a_time(pair)
+        assert rep.level_table() == table, pair
+        assert rep.residual == residual, pair
+        assert rep.verdict == verdict_of(pair, residual), pair
+        assert rep.mirrored == classify_pair(*pair).mirrored, pair
+
+
+def test_each_top_vertex_built_once(monkeypatch):
+    real = fiber.bc_vertex
+    for pair in [((2, 3), (2, 3)), ((1, 2), (2, 1)), ((2, 4), (2, 4)),
+                 ((3, 4), (3, 4)), ((2, 2), (1, 3)), ((1, 4), (3, 2))]:
+        calls = []
+
+        def counted(spec, beta, layer):
+            calls.append(beta + (layer,))
+            return real(spec, beta, layer)
+
+        monkeypatch.setattr(fiber, "bc_vertex", counted)
+        rep = total_fiber(pair)
+        d = len(rep.order)
+        assert len(calls) == len(set(calls)) == 2**d, pair
+        assert len(rep.sizes[0]) == 2**d
+
+
+def test_broken_lower_vertex_fails_containment(monkeypatch):
+    """A top vertex missing a code that its kernel passes on to a lower
+    vertex of the next collapse fails there, on both walks."""
+    real = fiber.bc_vertex
+
+    def dropping(spec, beta, layer):
+        vertex = real(spec, beta, layer)
+        if (beta, layer) != ((1, 0), 1):
+            return vertex
+        return replace(vertex, codes=vertex.codes - {min(vertex.codes)})
+
+    monkeypatch.setattr(fiber, "bc_vertex", dropping)
+    message = (
+        r"^collapsing eps1 at \(0, 0\): 1 lower diagrams missing from the "
+        r"upper set, e\.g\. \(1, 2, 3, 4, 5\)$"
+    )
+    with pytest.raises(FiberContainmentError, match=message):
+        total_fiber(((2, 3), (2, 3)))
+    with pytest.raises(FiberContainmentError, match=message):
+        _level_at_a_time(((2, 3), (2, 3)))
 
 
 def test_wrong_collapse_order_fails_containment():

@@ -237,6 +237,21 @@ def test_oracle_matches_diagram_needs_every_level():
     assert not oracle_matches_diagram(pair, realized=short)
 
 
+def test_oracle_matches_diagram_compares_every_dimension():
+    """A realized fiber one off at a single index of a single level fails."""
+    pair = ((2, 3), (2, 3))
+    realized = realized_total_fiber(pair)
+    assert oracle_matches_diagram(pair, realized=realized)
+    for k, dims in enumerate(realized.level_dims):
+        for index in dims:
+            off = dict(dims)
+            off[index] += 1
+            level_dims = list(realized.level_dims)
+            level_dims[k] = off
+            wrong = replace(realized, level_dims=level_dims)
+            assert not oracle_matches_diagram(pair, realized=wrong), (k, index)
+
+
 def test_flip_check_acts_on_the_realized_module(monkeypatch):
     """Given the pair's realized fiber, the flip check builds no second
     nil-Coxeter module: it acts on the fiber's own."""

@@ -108,6 +108,12 @@ class FunctorWord:
     rows: tuple[Composition, ...]
 
     def steps(self) -> tuple[str, ...]:
+        """The step between each two consecutive rows, worked out once per
+        word: `word_codes` and `vertex_rank_from_word` both read it."""
+        return self._steps
+
+    @cached_property
+    def _steps(self) -> tuple[str, ...]:
         out = []
         for upper, lower in zip(self.rows, self.rows[1:]):
             if upper == lower:
@@ -144,7 +150,8 @@ def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
     """The Beck-Chevalley vertex at (beta, layer).
 
     The rows are the cube vertices at (0,1,0...), (0,1,beta),
-    (0,0,beta) or (1,1,beta), (1,0,beta), (1,0,0...).
+    (0,0,beta) or (1,1,beta), (1,0,beta), (1,0,0...).  The first and last
+    are the pair's own compositions, as `build_bifactorization` checks.
     """
     if len(beta) != cube.dim - 2:
         raise CubeError(
@@ -152,14 +159,13 @@ def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
         )
     if layer not in (0, 1):
         raise CubeError(f"layer must be 0 or 1, got {layer}")
-    zeros = (0,) * (cube.dim - 2)
     mid = (0, 0) if layer == 0 else (1, 1)
     rows = (
-        cube.vertex((0, 1) + zeros),
+        cube.pair[0],
         cube.vertex((0, 1) + beta),
         cube.vertex(mid + beta),
         cube.vertex((1, 0) + beta),
-        cube.vertex((1, 0) + zeros),
+        cube.pair[1],
     )
     word = FunctorWord(rows)
     codes = word_codes(word)
@@ -198,9 +204,10 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
     set: each cd-block takes its words from the one-block set
     `enumerate_shuffles((size,), parts)`, shifted into the block's value
     range, and the tables are the concatenations of one word per block.
-    They stay n + 1 bytes long until the translate, which appends the
-    identity tail: the 518,400 full tables of ((6, 6), (1,) * 12) would
-    hold 133 MB.  Products must be pairwise distinct, as in
+    They stay n + 1 bytes long; each gets the identity tail once, just
+    before it translates every inner shuffle, so one full table is alive
+    at a time: the 518,400 full tables of ((6, 6), (1,) * 12) would hold
+    133 MB.  Products must be pairwise distinct, as in
     `word_factorizations`, or the vertex is ill-formed.
     """
     (cd, outer_fine), (inner_coarse, inner_fine) = vertex_hom_layers(word)
@@ -225,7 +232,9 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
         start, j = start + size, k
     inner = [bytes(f) for f in enumerate_shuffles(inner_coarse, inner_fine)]
     tail = _BYTES[n + 1 :]
-    codes = frozenset(f.translate(t + tail) for t in tables for f in inner)
+    codes = frozenset(
+        f.translate(full) for full in (t + tail for t in tables) for f in inner
+    )
     if len(codes) < len(tables) * len(inner):
         raise CubeError(
             f"{len(tables) * len(inner) - len(codes)} shuffle products "

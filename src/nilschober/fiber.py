@@ -13,8 +13,11 @@ The collapses form a binary tree: each vertex of a lower level is the
 difference of two vertices of the level above, and feeds one vertex
 below it.  `total_fiber` walks that tree depth first, so it holds one
 pending set per level instead of whole levels, and keeps only each
-level's sizes and the residual.  `initial_cube` and `take_fiber_along`
-build whole levels, for the readers of a level's sets.
+level's sizes and the residual.  An axis that no psi bit reads (the eta
+axes of the AC_Unbal cubes) leaves every vertex as it is, so the walk
+builds only its 0 side and copies the sizes to the 1 side.
+`initial_cube` and `take_fiber_along` build whole levels, for the
+readers of a level's sets.
 
 Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
 each collapse is one frozenset difference (`_kernel`): the lower set lies
@@ -158,8 +161,12 @@ def _collapse(
 
     Depth first: the vertex left after the first j collapses is the kernel
     of the two vertices left after j - 1 with order[j - 1] at 0 and at 1.
-    Each top vertex is built once, and only the pending upper set of each
-    level is kept while its lower one is built.
+    Each distinct top vertex is built once, and only the pending upper set
+    of each level is kept while its lower one is built.  An unread axis is
+    walked once: its 1 side is the same set as its 0 side, so that set is
+    differenced with itself (an empty kernel, the containment check still
+    run), and every size recorded below at the 0 side is also the size at
+    the 1 side.
     """
     axes = spec.bc_axes()
     remaining = [
@@ -167,6 +174,10 @@ def _collapse(
     ]
     sizes: list[dict[Index, int]] = [{} for _ in remaining]
     bits = dict.fromkeys(axes, 0)
+    unread = {
+        a for i, a in enumerate(spec.axis_names)
+        if not any(mask >> i & 1 for mask in spec.layout)
+    }
 
     def walk(j: int) -> Codes:
         if j == 0:
@@ -177,8 +188,18 @@ def _collapse(
             bits[axis] = 0
             index = tuple(bits[a] for a in remaining[j - 1])
             upper = walk(j - 1)
-            bits[axis] = 1
-            codes = _kernel(upper, walk(j - 1), axis, index, decode_sorted)
+            if axis in unread:
+                lower = upper
+                for level, names in zip(sizes[:j], remaining):
+                    pos = names.index(axis)
+                    level.update([
+                        (i[:pos] + (1,) + i[pos + 1 :], size)
+                        for i, size in level.items() if i[pos] == 0
+                    ])
+            else:
+                bits[axis] = 1
+                lower = walk(j - 1)
+            codes = _kernel(upper, lower, axis, index, decode_sorted)
         sizes[j][tuple(bits[a] for a in remaining[j])] = len(codes)
         return codes
 

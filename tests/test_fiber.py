@@ -1,5 +1,7 @@
 """The set-difference fiber engine and the structural axiom checks."""
 
+import hashlib
+import json
 from dataclasses import replace
 from math import comb
 
@@ -229,9 +231,15 @@ def test_depth_first_matches_level_at_a_time(n):
 
 
 def test_each_top_vertex_built_once(monkeypatch):
+    """Each distinct top vertex is built once.  No mask of the layout reads
+    an eta axis, so the 1 side of one repeats its 0 side and is not built:
+    with u such axes a pair builds 2^(d - u) vertices, all with those axes
+    at 0, and still records a size at all 2^d."""
     real = fiber.bc_vertex
-    for pair in [((2, 3), (2, 3)), ((1, 2), (2, 1)), ((2, 4), (2, 4)),
-                 ((3, 4), (3, 4)), ((2, 2), (1, 3)), ((1, 4), (3, 2))]:
+    for pair, u in [(((2, 3), (2, 3)), 0), (((1, 2), (2, 1)), 0),
+                    (((2, 4), (2, 4)), 1), (((3, 4), (3, 4)), 0),
+                    (((2, 2), (1, 3)), 0), (((1, 4), (3, 2)), 0),
+                    (((1, 4), (1, 4)), 2), (((1, 9), (1, 9)), 7)]:
         calls = []
 
         def counted(spec, beta, layer):
@@ -240,9 +248,31 @@ def test_each_top_vertex_built_once(monkeypatch):
 
         monkeypatch.setattr(fiber, "bc_vertex", counted)
         rep = total_fiber(pair)
+        spec = build_bifactorization(mirror_pair(pair) if rep.mirrored else pair)
+        read = [any(mask >> i & 1 for mask in spec.layout) for i in range(spec.dim)]
+        unread = [i - 2 for i in range(2, spec.dim) if not read[i]]
         d = len(rep.order)
-        assert len(calls) == len(set(calls)) == 2**d, pair
+        assert len(unread) == u, pair
+        assert len(calls) == len(set(calls)) == 2 ** (d - u), pair
+        assert not [call for call in calls if any(call[i] for i in unread)], pair
         assert len(rep.sizes[0]) == 2**d
+
+
+def test_sweep_n10_digest():
+    """The 10-strand sweep, at the size the benchmark runs: the SHA-256 of
+    the per-pair digests of perfbench's sweep-n10 (verdict, mirror flag,
+    residual and level table), one per line in pair order."""
+    lines = []
+    for pair in two_part_pairs(10):
+        rep = total_fiber(pair)
+        text = json.dumps(
+            [rep.verdict, rep.mirrored, rep.residual, rep.level_table()],
+            separators=(",", ":"),
+        )
+        lines.append(hashlib.sha256(text.encode()).hexdigest())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "d39c22570a1981cc0111491e1d3d5e8f8edc1e154ef73286e5ac2b8ca3a645fc"
+    )
 
 
 def test_broken_lower_vertex_fails_containment(monkeypatch):

@@ -5,7 +5,6 @@ from .algebra import (
     NilCoxeterModule,
     TruncatedPolyModule,
     flip_iso,
-    mirror_iso,
     module_decompose,
 )
 from .compositions import (

@@ -335,17 +335,6 @@ def flip_iso(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(n, (b, a), out)
 
 
-def mirror_iso(x: AlgebraElement) -> AlgebraElement:
-    """Conjugation by the order-reversing permutation (left-right mirror)."""
-    from .perms import reverse_conjugate
-
-    n = x.n
-    out: dict[TermKey, Fraction] = {}
-    for (e, dots, w), c in x.terms.items():
-        out[(e, tuple(reversed(dots)), reverse_conjugate(w))] = c
-    return AlgebraElement(n, tuple(reversed(x.block)), out)
-
-
 def block_perms(tau: Composition) -> list[Perm]:
     """All permutations preserving the blocks of tau, in lex order: the
     (tau, singletons)-shuffles."""

@@ -205,16 +205,3 @@ def classify_pair(ab: Composition, cd: Composition) -> PairCase:
     key = "b" if m < 0 else "c" if l or m else "a"
     params = tuple((name, v) for name, v in ((key, k), ("m", abs(m)), ("l", l)) if v)
     return PairCase("Mirror" * mirrored + _TAGS[l > 0, (m > 0) - (m < 0)], params)
-
-
-def reconstruct_pair(case: PairCase) -> Pair:
-    """The pair a case came from; inverse of `classify_pair`."""
-    tag = case.tag.removeprefix("Mirror")
-    signs = [sign for (_, sign), t in _TAGS.items() if t == tag]
-    if not signs:
-        raise CompositionError(f"unknown case tag {case.tag!r}")
-    p = dict(case.params)
-    k, m, l = case.params[0][1], signs[0] * p.get("m", 0), p.get("l", 0)
-    c = k - min(m, 0)
-    pair = ((c + l, c + m), (c, c + m + l))
-    return mirror_pair(pair) if case.mirrored else pair

@@ -146,8 +146,8 @@ class BCVertex:
         return decode_sorted(self.codes)
 
 
-def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
-    """The Beck-Chevalley vertex at (beta, layer).
+def bc_word(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> FunctorWord:
+    """The functor word of the Beck-Chevalley vertex at (beta, layer).
 
     The rows are the cube vertices at (0,1,0...), (0,1,beta),
     (0,0,beta) or (1,1,beta), (1,0,beta), (1,0,0...).  The first and last
@@ -160,14 +160,19 @@ def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
     if layer not in (0, 1):
         raise CubeError(f"layer must be 0 or 1, got {layer}")
     mid = (0, 0) if layer == 0 else (1, 1)
-    rows = (
+    return FunctorWord((
         cube.pair[0],
         cube.vertex((0, 1) + beta),
         cube.vertex(mid + beta),
         cube.vertex((1, 0) + beta),
         cube.pair[1],
-    )
-    word = FunctorWord(rows)
+    ))
+
+
+def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
+    """The Beck-Chevalley vertex at (beta, layer), its products checked
+    against its rank."""
+    word = bc_word(cube, beta, layer)
     codes = word_codes(word)
     rank = vertex_rank_from_word(word)
     if len(codes) != rank:
@@ -187,30 +192,27 @@ def vertex_rank_from_word(word: FunctorWord) -> int:
     return rank
 
 
-def word_products(word: FunctorWord) -> tuple[Perm, ...]:
-    """The composed shuffle diagrams spanning the vertex.
-
-    Walking the word top to bottom, each induction step contributes its
-    shuffle set; later sets stack on top (compose on the left).
-    """
-    return decode_sorted(word_codes(word))
-
-
 def word_codes(word: FunctorWord) -> frozenset[bytes]:
     """The composed products as byte codes: byte p-1 of a code is w(p).
 
-    For each outer shuffle e, `f.translate(table)` with table[x] = e(x)
-    is `compose(e, f)`.  The outer shuffles are never enumerated as one
-    set: each cd-block takes its words from the one-block set
-    `enumerate_shuffles((size,), parts)`, shifted into the block's value
-    range, and the tables are the concatenations of one word per block.
-    They stay n + 1 bytes long; each gets the identity tail once, just
-    before it translates every inner shuffle, so one full table is alive
-    at a time: the 518,400 full tables of ((6, 6), (1,) * 12) would hold
-    133 MB.  Products must be pairwise distinct, as in
-    `word_factorizations`, or the vertex is ill-formed.
+    Walking the word top to bottom, each induction step contributes its
+    shuffle set; the outer one composes on the left of the inner one.
     """
-    (cd, outer_fine), (inner_coarse, inner_fine) = vertex_hom_layers(word)
+    outer, inner = vertex_hom_layers(word)
+    tables = outer_tables(*outer)  # refuses more than 255 strands first
+    shuffles = [bytes(f) for f in enumerate_shuffles(*inner)]
+    return shuffle_products(tables, shuffles, word)
+
+
+def outer_tables(cd: Composition, outer_fine: Composition) -> list[bytes]:
+    """The translate tables of the outer shuffles of (cd, outer_fine):
+    table[x] = e(x) for x = 1..n, so `f.translate(table)` is `compose(e, f)`.
+
+    The outer shuffles are never enumerated as one set: each cd-block
+    takes its words from the one-block set `enumerate_shuffles((size,),
+    parts)`, shifted into the block's value range, and the tables are the
+    concatenations of one word per block.  They stay n + 1 bytes long.
+    """
     n = total(cd)
     if n > 255:
         raise CubeError(f"byte-coded diagrams hold at most 255 strands, got {n}")
@@ -230,8 +232,21 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
         ]
         tables = [t + w for t in tables for w in words]
         start, j = start + size, k
-    inner = [bytes(f) for f in enumerate_shuffles(inner_coarse, inner_fine)]
-    tail = _BYTES[n + 1 :]
+    return tables
+
+
+def shuffle_products(
+    tables: list[bytes], inner: list[bytes], word: FunctorWord
+) -> frozenset[bytes]:
+    """Every outer table applied to every inner shuffle of `word`.
+
+    Each table gets the identity tail once, just before it translates
+    every inner shuffle, so one full table is alive at a time: the 518,400
+    full tables of ((6, 6), (1,) * 12) would hold 133 MB.  Products must
+    be pairwise distinct, as in `word_factorizations`, or the word is
+    ill-formed.
+    """
+    tail = _BYTES[len(tables[0]) :]
     codes = frozenset(
         f.translate(full) for full in (t + tail for t in tables) for f in inner
     )
@@ -281,23 +296,3 @@ def vertex_hom_layers(word: FunctorWord) -> tuple[Pair, Pair]:
     else:
         inner = (rows[2], rows[2])
     return outer, inner
-
-
-def edge_checks(cube: CubeSpec) -> None:
-    """Raise unless every single-bit flip connects refinement-related
-    compositions (equal vertices count, for the dummy axes)."""
-    from itertools import product as iproduct
-
-    for index in iproduct((0, 1), repeat=cube.dim):
-        base = cube.vertex(index)
-        for axis in range(cube.dim):
-            if index[axis] == 1:
-                continue
-            flipped = list(index)
-            flipped[axis] = 1
-            other = cube.vertex(tuple(flipped))
-            if not refines(base, other):
-                raise CubeError(
-                    f"edge {index} -> {tuple(flipped)} connects unrelated "
-                    f"compositions {base}, {other}"
-                )

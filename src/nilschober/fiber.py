@@ -19,10 +19,19 @@ builds only its 0 side and copies the sizes to the 1 side.
 `initial_cube` and `take_fiber_along` build whole levels, for the
 readers of a level's sets.
 
+The leaves of the walk are the layer kernels (`_layer_kernel`).  The two
+vertices at one beta share rows 3-4, hence one outer shuffle set E, and
+their inner sets nest: F0 = Sh(v00, v01) and F1 = Sh(v10, v11), where
+v10 and v11 are v00 and v01 with the delta1 cuts added.  An f in F1
+keeps the v10 blocks, hence the v00 ones, and is increasing on each v01
+block, since a delta1 cut puts its two halves in different v10 blocks.
+So F1 lies in F0, the kernel is E o (F0 - F1) and the lower vertex
+E o F1, and the upper vertex is never built as one set.
+
 Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
-each collapse is one frozenset difference (`_kernel`): the lower set lies
-inside the upper one exactly when the difference and the lower set
-together have as many codes as the upper set.  They are decoded into
+every later collapse is one frozenset difference (`_kernel`): the lower
+set lies inside the upper one exactly when the difference and the lower
+set together have as many codes as the upper set.  They are decoded into
 sorted one-line tuples only when `vertex_sets` is read; a mirrored level
 keeps the codes of the mirror pair and conjugates them back on that read.
 """
@@ -43,7 +52,17 @@ from .compositions import (
     refines,
     total,
 )
-from .cubes import CubeSpec, bc_vertex, build_bifactorization
+from .cubes import (
+    CubeError,
+    CubeSpec,
+    bc_vertex,
+    bc_word,
+    build_bifactorization,
+    outer_tables,
+    shuffle_products,
+    vertex_hom_layers,
+    vertex_rank_from_word,
+)
 from .perms import Perm, block_cross, decode_sorted
 from .shuffles import enumerate_shuffles
 
@@ -153,6 +172,26 @@ def _kernel(upper: Codes, lower: Codes, axis: str, index: Index, decode) -> Code
     return kernel
 
 
+def _layer_kernel(spec: CubeSpec, beta: Index) -> tuple[Codes, Codes]:
+    """(kernel, lower vertex) of the layer collapse at beta, both built on
+    one list of outer tables from the nested inner sets F1 <= F0 (see the
+    module docstring); the upper vertex is never built as one set."""
+    upper, lower = bc_word(spec, beta, 0), bc_word(spec, beta, 1)
+    (outer, inner0), (_, inner1) = vertex_hom_layers(upper), vertex_hom_layers(lower)
+    tables = outer_tables(*outer)
+    f0, f1 = (frozenset(map(bytes, enumerate_shuffles(*i))) for i in (inner0, inner1))
+    f0 = _kernel(f0, f1, "layer", beta + (0,), decode_sorted)  # F0 - F1
+    kernel = shuffle_products(tables, sorted(f0), upper)
+    codes = shuffle_products(tables, sorted(f1), lower)
+    ranks = vertex_rank_from_word(upper), vertex_rank_from_word(lower)
+    if not kernel.isdisjoint(codes) or (len(kernel) + len(codes), len(codes)) != ranks:
+        raise CubeError(
+            f"layer products at {beta} collide or disagree with the ranks "
+            f"{ranks}: {len(kernel)} kernel and {len(codes)} lower products"
+        )
+    return kernel, codes
+
+
 def _collapse(
     spec: CubeSpec, order: tuple[str, ...]
 ) -> tuple[Codes, list[dict[Index, int]]]:
@@ -161,14 +200,16 @@ def _collapse(
 
     Depth first: the vertex left after the first j collapses is the kernel
     of the two vertices left after j - 1 with order[j - 1] at 0 and at 1.
-    Each distinct top vertex is built once, and only the pending upper set
-    of each level is kept while its lower one is built.  An unread axis is
-    walked once: its 1 side is the same set as its 0 side, so that set is
+    The leaves are the layer kernels (`_layer_kernel`), one per distinct
+    beta, which record both top sizes; only the pending upper set of each
+    level is kept while its lower one is built.  An unread axis is walked
+    once: its 1 side is the same set as its 0 side, so that set is
     differenced with itself (an empty kernel, the containment check still
     run), and every size recorded below at the 0 side is also the size at
     the 1 side.
     """
     axes = spec.bc_axes()
+    assert order[0] == axes[-1] == "layer", order
     remaining = [
         tuple(a for a in axes if a not in order[:j]) for j in range(len(axes) + 1)
     ]
@@ -180,9 +221,11 @@ def _collapse(
     }
 
     def walk(j: int) -> Codes:
-        if j == 0:
-            *beta, layer = (bits[a] for a in axes)
-            codes = bc_vertex(spec, tuple(beta), layer).codes
+        if j == 1:
+            beta = tuple(bits[a] for a in remaining[1])
+            codes, lower = _layer_kernel(spec, beta)
+            sizes[0][beta + (0,)] = len(codes) + len(lower)
+            sizes[0][beta + (1,)] = len(lower)
         else:
             axis = order[j - 1]
             bits[axis] = 0

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilschober.compositions import (
+    _TAGS,
     CompositionError,
+    PairCase,
     all_compositions,
     blocks,
     classify_pair,
@@ -14,7 +16,6 @@ from nilschober.compositions import (
     parse_composition,
     psi,
     psi_inv,
-    reconstruct_pair,
     refinement_pairs,
     refines,
     total,
@@ -150,6 +151,19 @@ def test_classify_rejects():
         classify_pair((1, 1, 1), (2, 1))
     with pytest.raises(CompositionError):
         classify_pair((1, 2), (2, 2))
+
+
+def reconstruct_pair(case: PairCase):
+    """The pair a case came from; inverse of `classify_pair`."""
+    tag = case.tag.removeprefix("Mirror")
+    signs = [sign for (_, sign), t in _TAGS.items() if t == tag]
+    if not signs:
+        raise CompositionError(f"unknown case tag {case.tag!r}")
+    p = dict(case.params)
+    k, m, l = case.params[0][1], signs[0] * p.get("m", 0), p.get("l", 0)
+    c = k - min(m, 0)
+    pair = ((c + l, c + m), (c, c + m + l))
+    return mirror_pair(pair) if case.mirrored else pair
 
 
 @pytest.mark.parametrize("n", range(2, 41))

@@ -5,19 +5,43 @@ from itertools import product
 import pytest
 
 import nilschober.cubes as cubes_mod
+import nilschober.fiber as fiber_mod
 from nilschober.compositions import PairCase, classify_pair, psi, psi_inv, refines
 from nilschober.cubes import (
     CubeError,
+    CubeSpec,
     FunctorWord,
     bc_vertex,
     build_bifactorization,
-    edge_checks,
     vertex_rank_from_word,
+    word_codes,
     word_factorizations,
-    word_products,
 )
 from nilschober.fiber import total_fiber
+from nilschober.perms import Perm, decode_sorted
 from nilschober.report import two_part_pairs
+
+
+def word_products(word: FunctorWord) -> tuple[Perm, ...]:
+    """The composed shuffle diagrams spanning the vertex, sorted."""
+    return decode_sorted(word_codes(word))
+
+
+def edge_checks(cube: CubeSpec) -> None:
+    """Raise unless every single-bit flip connects refinement-related
+    compositions (equal vertices count, for the dummy axes)."""
+    for index in product((0, 1), repeat=cube.dim):
+        base = cube.vertex(index)
+        for axis in range(cube.dim):
+            if index[axis] == 1:
+                continue
+            flipped = index[:axis] + (1,) + index[axis + 1 :]
+            other = cube.vertex(flipped)
+            if not refines(base, other):
+                raise CubeError(
+                    f"edge {index} -> {flipped} connects unrelated "
+                    f"compositions {base}, {other}"
+                )
 
 
 def test_ac_unbal_cube_shape():
@@ -207,11 +231,11 @@ def test_repeated_shuffle_is_a_collision(monkeypatch):
 
 
 def test_outer_layers_are_never_enumerated_as_one_set(monkeypatch):
-    """word_codes builds each outer layer (cd, outer_fine) from one-block
+    """outer_tables builds each outer layer (cd, outer_fine) from one-block
     word lists: over the total fibers of every pair with n <= 8, from a
-    cleared cache, it never asks enumerate_shuffles for an outer layer of
-    more than one block (a key that is also the word's inner layer is
-    asked for as the inner layer)."""
+    cleared cache, neither it nor the layer kernels of the walk ask
+    enumerate_shuffles for an outer layer of more than one block (a key
+    that is also the word's inner layer is asked for as the inner layer)."""
     real_layers = cubes_mod.vertex_hom_layers
     real_shuffles = cubes_mod.enumerate_shuffles
     current = []
@@ -226,6 +250,8 @@ def test_outer_layers_are_never_enumerated_as_one_set(monkeypatch):
         return real_shuffles(sigma, tau)
 
     monkeypatch.setattr(cubes_mod, "vertex_hom_layers", layers)
+    monkeypatch.setattr(fiber_mod, "vertex_hom_layers", layers)
+    monkeypatch.setattr(fiber_mod, "enumerate_shuffles", shuffles)
     monkeypatch.setattr(cubes_mod, "enumerate_shuffles", shuffles)
     real_shuffles.cache_clear()
     for n in range(2, 9):

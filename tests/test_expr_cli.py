@@ -578,21 +578,19 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert main(["render", "--pair", "1,1;1,1", "--level", "9",
                  "--out", str(tmp_path)]) == 2
     assert main(["check", "--n", "3", "--pair", "1,1;1,1"]) == 2
-    real = fiber_mod._kernel
+    real = fiber_mod._layer_kernel  # the 2-strand cube has only the layer axis
 
-    def other(upper, lower, axis, index, decode):
-        kernel = real(upper, lower, axis, index, decode)
-        if len(index) > 1:
-            return kernel
-        return frozenset({bytes((1, 2))})  # a wrong residual: the identity
+    def other(spec, beta):
+        _, lower = real(spec, beta)
+        return frozenset({bytes((1, 2))}), lower  # a wrong residual: the identity
 
-    monkeypatch.setattr(fiber_mod, "_kernel", other)
+    monkeypatch.setattr(fiber_mod, "_layer_kernel", other)
     assert main(check) == 1
 
-    def broken(upper, lower, axis, index, decode):
+    def broken(spec, beta):
         raise FiberContainmentError("lower set not inside the upper set")
 
-    monkeypatch.setattr(fiber_mod, "_kernel", broken)
+    monkeypatch.setattr(fiber_mod, "_layer_kernel", broken)
     assert main(check) == 3
     err = capsys.readouterr().err
     assert "internal error: lower set not inside the upper set" in err

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import product
 from math import comb
 
 import pytest
@@ -29,7 +30,7 @@ from nilschober.fiber import (
     total_fiber,
     verdict_of,
 )
-from nilschober.cubes import build_bifactorization
+from nilschober.cubes import CubeError, bc_vertex, build_bifactorization
 from nilschober.oracle import HomSpace
 from nilschober.perms import block_cross, compose, reverse_conjugate
 from nilschober.report import build_report, report_ok, to_json, two_part_pairs
@@ -56,7 +57,6 @@ def test_bottom_all_ones_is_identity_only_refinement(n):
     """At the bottom-most all-ones index the inner refinement is identity
     only, so the set size is the multinomial shuffle count of the word's
     middle row (for the a = c families, where rows 2-4 coincide)."""
-    from nilschober.cubes import bc_vertex
     from nilschober.shuffles import shuffle_count
 
     for pair in two_part_pairs(n):
@@ -231,31 +231,35 @@ def test_depth_first_matches_level_at_a_time(n):
 
 
 def test_each_top_vertex_built_once(monkeypatch):
-    """Each distinct top vertex is built once.  No mask of the layout reads
-    an eta axis, so the 1 side of one repeats its 0 side and is not built:
-    with u such axes a pair builds 2^(d - u) vertices, all with those axes
-    at 0, and still records a size at all 2^d."""
-    real = fiber.bc_vertex
+    """Each distinct layer kernel is built once, and no Beck-Chevalley
+    vertex is built whole.  No mask of the layout reads an eta axis, so
+    the 1 side of one repeats its 0 side and is not built: with u such
+    axes a pair builds 2^(d - 1 - u) layer kernels, all with those axes at
+    0, and still records a size at all 2^d top vertices."""
+    real = fiber._layer_kernel
+    vertices = []
+    monkeypatch.setattr(fiber, "bc_vertex", lambda *args: vertices.append(args))
     for pair, u in [(((2, 3), (2, 3)), 0), (((1, 2), (2, 1)), 0),
                     (((2, 4), (2, 4)), 1), (((3, 4), (3, 4)), 0),
                     (((2, 2), (1, 3)), 0), (((1, 4), (3, 2)), 0),
                     (((1, 4), (1, 4)), 2), (((1, 9), (1, 9)), 7)]:
         calls = []
 
-        def counted(spec, beta, layer):
-            calls.append(beta + (layer,))
-            return real(spec, beta, layer)
+        def counted(spec, beta):
+            calls.append(beta)
+            return real(spec, beta)
 
-        monkeypatch.setattr(fiber, "bc_vertex", counted)
+        monkeypatch.setattr(fiber, "_layer_kernel", counted)
         rep = total_fiber(pair)
         spec = build_bifactorization(mirror_pair(pair) if rep.mirrored else pair)
         read = [any(mask >> i & 1 for mask in spec.layout) for i in range(spec.dim)]
         unread = [i - 2 for i in range(2, spec.dim) if not read[i]]
         d = len(rep.order)
         assert len(unread) == u, pair
-        assert len(calls) == len(set(calls)) == 2 ** (d - u), pair
+        assert len(calls) == len(set(calls)) == 2 ** (d - 1 - u), pair
         assert not [call for call in calls if any(call[i] for i in unread)], pair
         assert len(rep.sizes[0]) == 2**d
+    assert vertices == []
 
 
 def test_sweep_n10_digest():
@@ -277,16 +281,27 @@ def test_sweep_n10_digest():
 
 def test_broken_lower_vertex_fails_containment(monkeypatch):
     """A top vertex missing a code that its kernel passes on to a lower
-    vertex of the next collapse fails there, on both walks."""
-    real = fiber.bc_vertex
+    vertex of the next collapse fails there, on both walks: the depth-first
+    walk loses it from the lower set of its layer kernel at beta = (1, 0),
+    the level-at-a-time walk from the vertex that bc_vertex builds."""
+    real_kernel = fiber._layer_kernel
+    real_vertex = fiber.bc_vertex
 
-    def dropping(spec, beta, layer):
-        vertex = real(spec, beta, layer)
+    def dropping_kernel(spec, beta):
+        kernel, lower = real_kernel(spec, beta)
+        if beta != (1, 0):
+            return kernel, lower
+        code = min(lower)
+        return kernel | {code}, lower - {code}
+
+    def dropping_vertex(spec, beta, layer):
+        vertex = real_vertex(spec, beta, layer)
         if (beta, layer) != ((1, 0), 1):
             return vertex
         return replace(vertex, codes=vertex.codes - {min(vertex.codes)})
 
-    monkeypatch.setattr(fiber, "bc_vertex", dropping)
+    monkeypatch.setattr(fiber, "_layer_kernel", dropping_kernel)
+    monkeypatch.setattr(fiber, "bc_vertex", dropping_vertex)
     message = (
         r"^collapsing eps1 at \(0, 0\): 1 lower diagrams missing from the "
         r"upper set, e\.g\. \(1, 2, 3, 4, 5\)$"
@@ -295,6 +310,77 @@ def test_broken_lower_vertex_fails_containment(monkeypatch):
         total_fiber(((2, 3), (2, 3)))
     with pytest.raises(FiberContainmentError, match=message):
         _level_at_a_time(((2, 3), (2, 3)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_kernel_is_the_difference_of_the_layer_vertices(n):
+    """For every beta of every pair, the layer kernel is the upper vertex
+    minus the lower one, and its two sets give the two vertex sizes."""
+    for pair in two_part_pairs(n):
+        spec = build_bifactorization(pair)
+        for beta in product((0, 1), repeat=spec.dim - 2):
+            upper, lower = (bc_vertex(spec, beta, layer).codes for layer in (0, 1))
+            kernel, codes = fiber._layer_kernel(spec, beta)
+            assert kernel == upper - lower, (pair, beta)
+            assert codes == lower, (pair, beta)
+            assert len(kernel) + len(codes) == len(upper), (pair, beta)
+
+
+def test_layer_kernel_refuses_a_lower_inner_shuffle_outside_the_upper_ones(
+    monkeypatch,
+):
+    """A lower word whose inner shuffles are every permutation breaks
+    F1 <= F0 at the first beta; the walk stops there, before any product."""
+    real = fiber.vertex_hom_layers
+    words = []
+
+    def widened(word):
+        words.append(word)
+        outer, inner = real(word)
+        if len(words) % 2:
+            return outer, inner
+        return outer, ((5,), (1,) * 5)  # every permutation of 5 strands
+
+    monkeypatch.setattr(fiber, "vertex_hom_layers", widened)
+    with pytest.raises(
+        FiberContainmentError,
+        match=r"^collapsing layer at \(0, 0, 0\): 110 lower diagrams missing "
+        r"from the upper set, e\.g\. \(1, 2, 3, 5, 4\)$",
+    ):
+        total_fiber(((2, 3), (2, 3)))
+
+
+def test_layer_kernel_refuses_overlapping_parts(monkeypatch):
+    """A lower product that is also a kernel product is a collision of the
+    upper vertex, though each part alone has no collision."""
+    real = fiber.shuffle_products
+    inners = []
+
+    def overlapping(tables, inner, word):
+        inners.append(inner)
+        if len(inners) == 2:
+            inner = [inners[0][0], *inner[1:]]
+        return real(tables, inner, word)
+
+    monkeypatch.setattr(fiber, "shuffle_products", overlapping)
+    with pytest.raises(
+        CubeError, match=r"^layer products at \(0, 0\) collide or disagree"
+    ):
+        fiber._layer_kernel(build_bifactorization(((2, 3), (2, 3))), (0, 0))
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_layer_kernel_refuses_a_rank_mismatch(monkeypatch, layer):
+    real = fiber.vertex_rank_from_word
+    spec = build_bifactorization(((2, 3), (2, 3)))
+    off = bc_vertex(spec, (0, 0), layer).word
+    monkeypatch.setattr(
+        fiber, "vertex_rank_from_word", lambda word: real(word) + (word == off)
+    )
+    with pytest.raises(
+        CubeError, match=r"^layer products at \(0, 0\) collide or disagree"
+    ):
+        fiber._layer_kernel(spec, (0, 0))
 
 
 def test_wrong_collapse_order_fails_containment():

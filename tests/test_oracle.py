@@ -15,7 +15,6 @@ from nilschober.algebra import (
     NilCoxeterModule,
     TruncatedPolyModule,
     generators,
-    mirror_iso,
     module_decompose,
     s_generators,
 )
@@ -54,7 +53,7 @@ from nilschober.oracle import (
     realized_total_fiber,
     spin_hom,
 )
-from nilschober.perms import compose
+from nilschober.perms import compose, reverse_conjugate
 from nilschober.report import build_report, report_ok, to_json, two_part_pairs
 from nilschober.shuffles import enumerate_shuffles
 
@@ -182,6 +181,15 @@ def test_flip_action_checks():
     assert flip_action_check(((2, 1), (1, 2)))
     with pytest.raises(OracleError):
         flip_action_check(((1, 2), (1, 2)))
+
+
+def mirror_iso(x: AlgebraElement) -> AlgebraElement:
+    """Conjugation by the order-reversing permutation (left-right mirror)."""
+    n = x.n
+    out: dict = {}
+    for (e, dots, w), c in x.terms.items():
+        out[(e, tuple(reversed(dots)), reverse_conjugate(w))] = c
+    return AlgebraElement(n, tuple(reversed(x.block)), out)
 
 
 def test_flip_action_negative_control(monkeypatch):

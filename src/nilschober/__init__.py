@@ -31,17 +31,8 @@ from .oracle import (
     check_bicartesian,
     flip_action_check,
     oracle_matches_diagram,
-    realize_edge,
     realized_total_fiber,
 )
-from .shuffles import (
-    DeltaPair,
-    LevelParams,
-    anycross,
-    crosses_at_least,
-    delta_decompose,
-    enumerate_shuffles,
-    mincross,
-)
+from .shuffles import enumerate_shuffles
 
 __version__ = "0.1.0"

@@ -234,20 +234,6 @@ class AlgebraElement:
             self.n, self.block, {k: v * c for k, v in self.terms.items()}
         )
 
-    def scale_h(self, power: int = 1) -> "AlgebraElement":
-        return AlgebraElement(
-            self.n,
-            self.block,
-            {(e + power, dots, w): c for (e, dots, w), c in self.terms.items()},
-        )
-
-    def in_block(self, block: Composition) -> "AlgebraElement":
-        """Recast into NH_block (must contain all terms)."""
-        return AlgebraElement(self.n, block, dict(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)

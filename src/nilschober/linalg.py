@@ -2,16 +2,16 @@
 Exact linear algebra over the rationals.
 
 Everything is decidable equality over Fraction, no floating point.  Two
-forms share one elimination kernel: dense matrices (lists of row lists with
-int or Fraction entries) behind `rank`, `rref`, `nullspace`, `solve_matrix`
-and `mat_mul`, and row-sparse `SparseMatrix` values (one {column: value}
-dict per row, zeros dropped, plus the column count) behind `sparse_mul`,
-`sparse_solve`, `sparse_rank` and `sparse_nullspace`, which the oracle uses
-end to end.  The kernel is sparse Gauss-Jordan: rows go in as
-{column: value} dicts and the reduced row echelon form comes out as
-{pivot column: monic row}.  Ranks, `rref`, kernels and solves are read off
-that form, and since the reduced form is unique, so is every kernel basis
-built from it.
+forms share one elimination kernel: row-sparse `SparseMatrix` values (one
+{column: value} dict per row, zeros dropped, plus the column count) behind
+`sparse_mul`, `sparse_solve`, `sparse_rank` and `sparse_nullspace`, which
+every library path uses, and dense matrices (lists of row lists with int
+or Fraction entries) behind `rank`, `rref`, `nullspace`, `solve_matrix` and
+`mat_mul`, which only the tests read (`perfbench/tracer.py` still wraps
+them).  The kernel is sparse Gauss-Jordan: rows go in as {column: value}
+dicts and the reduced row echelon form comes out as {pivot column: monic
+row}.  Ranks, `rref`, kernels and solves are read off that form, and
+since the reduced form is unique, so is every kernel basis built from it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ is the parabolic factorization w = alpha o u of a permutation
 itself (`_NilHecke`).  Total fibers are iterated kernels, read off the
 edge entries.  Each basis stays a set of coordinates while each lower
 coordinate has at most one preimage under the restricted edge, and falls
-back to elimination on row-sparse matrices otherwise; the dense
-`realize_map` and `action_matrix` are views for tests and small checks.
+back to elimination on row-sparse matrices otherwise.  Every check here,
+the bicartesian square included, runs on those sparse entries; the dense
+`realize_map` and `action_matrix` views are read by tests alone.
 The coordinate collapse reads the realized entries of `_two_layer_entries`,
 never the diagram engine's byte codes, and it checks containment and
 surjectivity instead of assuming them.
@@ -70,9 +71,6 @@ from .linalg import (
     SparseRow,
     _reduce,
     from_entries,
-    mat_eq,
-    mat_mul,
-    rank,
     sparse_mul,
     sparse_nullspace,
     sparse_rank,
@@ -311,14 +309,6 @@ def _two_layer_entries(
     return out
 
 
-def realize_edge(top: BCVertex, bottom: BCVertex, module) -> Matrix:
-    """The realized map between two layer-adjacent vertices, the collapse
-    edges of the fiber iteration."""
-    if top.index[:-1] != bottom.index[:-1] or top.index[-1] != 0:
-        raise OracleError("realize_edge expects layer-adjacent vertices")
-    return realize_map(RealizedVertex(top, module), RealizedVertex(bottom, module))
-
-
 @dataclass
 class RealizedFiber:
     pair: Pair
@@ -532,22 +522,32 @@ def check_bicartesian(module=None) -> bool:
     }
     v_a, v_b = corner[(0, 0)], corner[(1, 0)]
     v_c, v_d = corner[(0, 1)], corner[(1, 1)]
-    top = realize_map(v_a, v_b)
-    left = realize_map(v_a, v_c)
-    right = realize_map(v_b, v_d)
-    bottom = realize_map(v_c, v_d)
-    if not mat_eq(mat_mul(right, top), mat_mul(bottom, left)):
+
+    def edge(src: RealizedVertex, dst: RealizedVertex) -> SparseMatrix:
+        return SparseMatrix.from_entries(realize_entries(src, dst), dst.dim, src.dim)
+
+    top, left = edge(v_a, v_b), edge(v_a, v_c)
+    right, bottom = edge(v_b, v_d), edge(v_c, v_d)
+    if sparse_mul(right, top) != sparse_mul(bottom, left):
         return False
-    first = top + left  # stacked (B+C) x A
+    first = SparseMatrix(top.rows + left.rows, v_a.dim)  # stacked (B+C) x A
     # middle map (B + C) -> D: [right | -bottom]
-    middle = [rr + [-x for x in rb] for rr, rb in zip(right, bottom)]
-    if rank(first) != v_a.dim:
+    middle = SparseMatrix(
+        [
+            {**rr, **{v_b.dim + c: -x for c, x in rb.items()}}
+            for rr, rb in zip(right.rows, bottom.rows)
+        ],
+        v_b.dim + v_c.dim,
+    )
+    rank_first = sparse_rank(first.rows)
+    if rank_first != v_a.dim:
         return False
-    if not all(x == 0 for row in mat_mul(middle, first) for x in row):
+    if any(sparse_mul(middle, first).rows):
         return False
-    if rank(middle) != v_d.dim:
+    rank_middle = sparse_rank(middle.rows)
+    if rank_middle != v_d.dim:
         return False
-    return v_b.dim + v_c.dim - rank(middle) == rank(first)
+    return v_b.dim + v_c.dim - rank_middle == rank_first
 
 
 def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=None) -> bool:

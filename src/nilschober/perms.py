@@ -94,16 +94,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(word)
 
 
-def reverse_conjugate(w: Perm) -> Perm:
-    """Conjugate by the order-reversing permutation (mirror the diagram).
-
-    >>> reverse_conjugate((2, 3, 1))
-    (3, 1, 2)
-    """
-    n = len(w)
-    return tuple(n + 1 - w[n - p] for p in range(1, n + 1))
-
-
 def decode_sorted(codes) -> tuple[Perm, ...]:
     """Byte codes (byte p-1 holds w(p)) as sorted one-line permutations.
 

@@ -10,6 +10,14 @@ from itertools import permutations as all_perms
 from itertools import product
 from math import comb
 
+from level_model import (
+    LevelParams,
+    anycross,
+    crosses_at_least,
+    delta_decompose,
+    level_codes,
+    mincross,
+)
 from nilschober.algebra import (
     AlgebraElement as A,
 )
@@ -34,15 +42,7 @@ from nilschober.oracle import (
 )
 from nilschober.perms import block_cross, compose, inversions
 from nilschober.report import two_part_pairs
-from nilschober.shuffles import (
-    LevelParams,
-    anycross,
-    crosses_at_least,
-    delta_decompose,
-    enumerate_shuffles,
-    mincross,
-    shuffle_count,
-)
+from nilschober.shuffles import enumerate_shuffles, shuffle_count
 
 W = (3, 1, 2)
 
@@ -208,7 +208,7 @@ def test_criterion_6_algebra_property_suite():
                     term = term * A.x_gen(n, rng.randint(1, n))
                     dots += 1
                 elif kind == "h" and hs < 2:
-                    term = term.scale_h()
+                    term = term * A.h_scalar(n)
                     hs += 1
             out = out + term
         return out
@@ -221,7 +221,7 @@ def test_criterion_6_algebra_property_suite():
     s1, x1, x2, h = (
         A.s_gen(2, 1), A.x_gen(2, 1), A.x_gen(2, 2), A.h_scalar(2),
     )
-    assert (s1 * s1).is_zero()
+    assert s1 * s1 == A.zero(2)
     assert x1 * s1 - s1 * x2 == h
     assert s1 * x1 - x2 * s1 == h
     s1_3, s2_3 = A.s_gen(3, 1), A.s_gen(3, 2)
@@ -234,14 +234,14 @@ def test_criterion_6_algebra_property_suite():
             if inversions(w) == inversions(u) + inversions(v):
                 assert prod == A.from_perm(w)
             else:
-                assert prod.is_zero()
+                assert prod == A.zero(4)
 
     w_elem = A.from_perm(W)
     for n_perm in block_perms((2, 1)):
         n_elem = A.from_perm(n_perm, (2, 1))
-        assert n_elem.in_block((3,)) * w_elem == w_elem * flip_iso(
-            n_elem
-        ).in_block((3,))
+        # both sides recast into NH_3, where W lives
+        lhs = A(3, (3,), n_elem.terms) * w_elem
+        assert lhs == w_elem * A(3, (3,), flip_iso(n_elem).terms)
     _passed(6, "500 associativity triples, relations, S_4 nil law, "
                "flip compatibility")
 
@@ -336,15 +336,13 @@ def test_criterion_8_structural_axioms():
 
 
 def test_criterion_3_terminal_identification():
-    """Companion check: the terminal Anycross x Mincross set is identified
-    with S_{(c+m),(c,m)} for the AC family (set cardinalities)."""
+    """Companion check: the terminal Anycross x Mincross set is the
+    engine's level-c set at every index, eta bits included, and is
+    identified with S_{(c+m),(c,m)} for the AC family (cardinalities)."""
     for c, m in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
-        for beta_c in (0, 1):
-            p = LevelParams(c=c, m=m, level=c, head_bits=(),
-                            tail_bits=(beta_c,) + (0,) * (m - 1))
-            assert len(anycross(p)) * len(mincross(p)) == comb(c + m, c)
-        rep = total_fiber(((c, c + m), (c, c + m)))
-        terminal = next(cu for cu in rep.levels if cu.level == m)
-        assert all(
-            len(ds) == comb(c + m, c) for ds in terminal.vertex_sets.values()
-        )
+        terminal = total_fiber(((c, c + m), (c, c + m))).levels[c]
+        assert terminal.level == m and len(terminal.codes) == 2**m
+        for tail, codes in terminal.codes.items():
+            p = LevelParams(c=c, m=m, level=c, head_bits=(), tail_bits=tail)
+            assert level_codes(p) == codes, (c, m, tail)
+            assert len(codes) == comb(c + m, c)

@@ -30,6 +30,16 @@ from nilschober.shuffles import enumerate_shuffles
 W = (3, 1, 2)  # the 3-cycle diagram of the NH_3 example, IX stacked on XI
 
 
+def scale_h(x, power=1):
+    """x times h^power, as a shift of every term's h-power."""
+    return A(x.n, x.block, {(e + power, k, w): c for (e, k, w), c in x.terms.items()})
+
+
+def in_block(x, block):
+    """x recast into NH_block, which must contain all its terms."""
+    return A(x.n, block, x.terms)
+
+
 def random_element(rng, n, max_tokens=3, max_dots=3, max_h=2):
     """A small random element built from generator products."""
     out = A.zero(n)
@@ -45,7 +55,7 @@ def random_element(rng, n, max_tokens=3, max_dots=3, max_h=2):
                 term = term * A.x_gen(n, rng.randint(1, n))
                 dots += 1
             elif kind == "h" and hs < max_h:
-                term = term.scale_h()
+                term = scale_h(term)
                 hs += 1
         out = out + term
     return out
@@ -53,7 +63,7 @@ def random_element(rng, n, max_tokens=3, max_dots=3, max_h=2):
 
 def test_bigons_vanish():
     s1 = A.s_gen(2, 1)
-    assert (s1 * s1).is_zero()
+    assert s1 * s1 == A.zero(2)
 
 
 def test_dot_pass_relations():
@@ -84,7 +94,7 @@ def test_h_is_central():
     rng = random.Random(11)
     for _ in range(20):
         x = random_element(rng, 3)
-        assert x.scale_h() == A.h_scalar(3) * x == x * A.h_scalar(3)
+        assert scale_h(x) == A.h_scalar(3) * x == x * A.h_scalar(3)
 
 
 def test_normal_form_word_examples():
@@ -167,7 +177,7 @@ def test_pure_crossing_nil_law_exhaustive_s4():
                 assert prod == A.from_perm(w)
                 assert nil_product(u, v) == w
             else:
-                assert prod.is_zero()
+                assert prod == A.zero(4)
                 assert nil_product(u, v) is None
 
 
@@ -196,7 +206,7 @@ def test_module_decompose_recombines():
         parts = module_decompose((4,), (2, 2), x)
         back = A.zero(4)
         for alpha, y in parts.items():
-            back = back + A.from_perm(alpha) * y.in_block((4,))
+            back = back + A.from_perm(alpha) * in_block(y, (4,))
         assert back.terms == x.terms
 
 
@@ -235,7 +245,7 @@ def test_flip_on_generators():
 def test_flip_is_involution_and_algebra_map():
     rng = random.Random(29)
     for _ in range(15):
-        x = random_element(rng, 3).in_block((3,))
+        x = in_block(random_element(rng, 3), (3,))
         # restrict to the block algebra NH_{2,1}
         terms = {
             k: v
@@ -258,8 +268,8 @@ def test_flip_compatibility_with_w():
     w_elem = A.from_perm(W)
     for n_perm in block_perms((2, 1)):
         n_elem = A.from_perm(n_perm, (2, 1))
-        lhs = n_elem.in_block((3,)) * w_elem
-        rhs = w_elem * flip_iso(n_elem).in_block((3,))
+        lhs = in_block(n_elem, (3,)) * w_elem
+        rhs = w_elem * in_block(flip_iso(n_elem), (3,))
         assert lhs == rhs, n_perm
 
 
@@ -364,11 +374,11 @@ def test_h_polynomial_arithmetic():
         return (e, (0, 0), (1, 2))
 
     assert (p * q).terms == {h_power(0): -2, h_power(1): 1, h_power(2): 1}
-    assert (p - p).is_zero()
+    assert p - p == A.zero(2)
     # cancelled terms are dropped and every result keeps Fraction values
     r = (h + one) * q
     assert r.terms == {h_power(0): -1, h_power(2): 1}
-    for x in (p + q, -p, p * q, r, p.scale_h(2), p.scale(Fraction(1, 2))):
+    for x in (p + q, -p, p * q, r, scale_h(p, 2), p.scale(Fraction(1, 2))):
         assert all(type(c) is Fraction and c for c in x.terms.values())
 
 
@@ -392,11 +402,6 @@ def test_element_rejects_malformed_keys(key):
         A(2, (2,), {key: 1})
 
 
-def test_scale_h_rejects_a_negative_power():
-    with pytest.raises(AlgebraError, match="malformed term"):
-        A.unit(2).scale_h(-1)
-
-
 def _random_block_element(rng, n, block):
     """A small random element of NH_block with rational coefficients."""
     out = A.zero(n, block)
@@ -409,7 +414,7 @@ def _random_block_element(rng, n, block):
             elif kind == "x":
                 term = term * A.x_gen(n, rng.randint(1, n), block)
             elif kind == "h":
-                term = term.scale_h()
+                term = scale_h(term)
         out = out + term
     return out
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilschober
 from nilschober.algebra import AlgebraError
 from nilschober.cli import main, parse_pair
 from nilschober.cubes import CubeError
@@ -23,6 +25,26 @@ from nilschober.report import (
     validate_report,
 )
 from nilschober.shuffles import ShuffleError
+
+
+def test_public_api_is_pinned():
+    """The names the package exports; a change to the public API edits
+    this list."""
+    public = sorted(
+        name
+        for name, value in vars(nilschober).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert public == [
+        "AlgebraElement", "BCVertex", "Composition", "CubeSpec", "FiberReport",
+        "FunctorWord", "IntermediateCube", "NilCoxeterModule", "PairCase",
+        "TruncatedPolyModule", "bc_vertex", "build_bifactorization",
+        "check_adjunction", "check_bicartesian", "check_far_commutativity",
+        "check_recursiveness", "classify_pair", "enumerate_shuffles",
+        "flip_action_check", "flip_iso", "initial_cube", "mirror_pair",
+        "module_decompose", "oracle_matches_diagram", "psi", "psi_inv",
+        "realized_total_fiber", "refines", "take_fiber_along", "total_fiber",
+    ]
 
 
 def test_eval_relation_examples():

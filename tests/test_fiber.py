@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from level_model import LevelParams, level_codes, reverse_conjugate
 from nilschober.compositions import (
     all_compositions,
     classify_pair,
@@ -32,9 +33,8 @@ from nilschober.fiber import (
 )
 from nilschober.cubes import CubeError, bc_vertex, build_bifactorization
 from nilschober.oracle import HomSpace
-from nilschober.perms import block_cross, compose, reverse_conjugate
+from nilschober.perms import block_cross
 from nilschober.report import build_report, report_ok, to_json, two_part_pairs
-from nilschober.shuffles import LevelParams, anycross, mincross
 
 
 def test_initial_cube_worked_example():
@@ -161,39 +161,44 @@ def test_mirrored_levels_are_conjugates(n):
         assert rep.level_table() == ref.level_table()
 
 
-def test_level_sets_match_levelparams():
-    """Engine vertex sets at intermediate levels equal the composed
-    Anycross x Mincross products of the level parameters (AC family).
+def _level_params(c, m, i, index):
+    """The model's level data at one engine vertex of ((c, c+m), (c, c+m))
+    after i collapses, and whether the vertex holds the primed sets.
 
-    After i collapses the index reads (beta_1 .. beta_{c-i}, tail); the
-    last palindrome bit selects the primed (1) or unprimed (0) variant of
-    the level-i sets.
+    Level 0 reads (beta_1 .. beta_{c-1}, tail, layer), and the layer bit
+    selects the primed variant.  Level i in 1..c-1 reads (beta_1 ..
+    beta_{c-i}, tail), and its last palindrome bit selects it.  The
+    terminal level c reads the tail alone.
     """
-    for c, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        pair = ((c, c + m), (c, c + m))
-        rep = total_fiber(pair)
-        for i in range(0, c):
-            cube = rep.levels[i]
-            for index, dset in cube.vertex_sets.items():
-                if i == 0:
-                    # the layer bit selects the primed variant at level 0
-                    head = index[: c - 1]
-                    primed = index[-1] == 1
-                    tail = index[c - 1 : -1]
-                else:
-                    head = index[: c - i - 1]
-                    primed = index[c - i - 1] == 1
-                    tail = index[c - i :]
-                p = LevelParams(c=c, m=m, level=i,
-                                head_bits=head, tail_bits=tail)
-                prods = tuple(
-                    sorted(
-                        compose(e, f)
-                        for e in anycross(p, primed)
-                        for f in mincross(p, primed)
-                    )
+    if i == c:
+        return LevelParams(c, m, c, (), index), False
+    if i == 0:
+        return LevelParams(c, m, 0, index[: c - 1], index[c - 1 : -1]), index[-1] == 1
+    head, bit, tail = index[: c - i - 1], index[c - i - 1], index[c - i :]
+    return LevelParams(c, m, i, head, tail), bit == 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_level_model_matches_engine_codes(n):
+    """The engine's codes at every vertex of levels 0..c equal the model's
+    composed Anycross x Mincross products (`level_codes`), built without
+    any set difference: every AC pair ((c, c+m), (c, c+m)) with m >= 1 up
+    to 9 strands, and the twist pairs ((c, c), (c, c)) (m = 0) up to
+    c = 5.  The model stops at the terminal level c: the levels below it
+    collapse the zeta and eta axes, which it does not describe."""
+    shapes = [
+        (c, n - 2 * c)
+        for c in range(1, n // 2 + 1)
+        if (n - 2 * c >= 1 and n <= 9) or (n == 2 * c and c <= 5)
+    ]
+    assert shapes
+    for c, m in shapes:
+        rep = total_fiber(((c, c + m), (c, c + m)))
+        for i in range(c + 1):
+            for index, codes in rep.levels[i].codes.items():
+                assert level_codes(*_level_params(c, m, i, index)) == codes, (
+                    (c, m), i, index,
                 )
-                assert prods == dset, (pair, i, index)
 
 
 def test_terminal_cardinality():

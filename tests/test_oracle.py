@@ -9,6 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from level_model import reverse_conjugate
 from nilschober import oracle
 from nilschober.algebra import (
     AlgebraElement,
@@ -47,15 +48,22 @@ from nilschober.oracle import (
     check_bicartesian,
     flip_action_check,
     oracle_matches_diagram,
-    realize_edge,
     realize_entries,
     realize_map,
     realized_total_fiber,
     spin_hom,
 )
-from nilschober.perms import compose, reverse_conjugate
+from nilschober.perms import compose
 from nilschober.report import build_report, report_ok, to_json, two_part_pairs
 from nilschober.shuffles import enumerate_shuffles
+
+
+def realize_edge(top, bottom, module):
+    """The dense realized map between two layer-adjacent vertices, the
+    collapse edges of the fiber iteration."""
+    if top.index[:-1] != bottom.index[:-1] or top.index[-1] != 0:
+        raise OracleError("realize_edge expects layer-adjacent vertices")
+    return realize_map(RealizedVertex(top, module), RealizedVertex(bottom, module))
 
 
 def test_realized_edge_nh3_is_restriction():
@@ -106,20 +114,22 @@ def test_bicartesian_square_and_negative_control(monkeypatch):
     square, the negative control from the worked example."""
     assert check_bicartesian()
     assert check_bicartesian(_ZeroModule())
-    real = oracle.realize_map
+    real = oracle.realize_entries
     sabotaged = []
 
     def top_without_ix(src, dst):
-        m = real(src, dst)
+        entries = real(src, dst)
         if (src.vertex.index, dst.vertex.index) == ((0, 0), (1, 0)):
             t = dst.module.dim
             ix_row = dst.block_index[(1, 3, 2)] * t
-            for r in range(ix_row, ix_row + t):
-                m[r] = [Fraction(0)] * len(m[r])
+            entries = {
+                (r, c): v for (r, c), v in entries.items()
+                if not ix_row <= r < ix_row + t
+            }
             sabotaged.append(src.vertex.index)
-        return m
+        return entries
 
-    monkeypatch.setattr(oracle, "realize_map", top_without_ix)
+    monkeypatch.setattr(oracle, "realize_entries", top_without_ix)
     assert not check_bicartesian()
     assert sabotaged == [(0, 0)]
 

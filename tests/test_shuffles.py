@@ -1,22 +1,21 @@
-"""Shuffle enumeration, Anycross/Mincross levels, the delta splitting."""
+"""Shuffle enumeration, and the level model of `level_model`: the
+Anycross/Mincross level sets and the delta splitting."""
 
 from itertools import permutations, product
 from math import comb
 
 import pytest
 
-from nilschober.compositions import all_compositions, blocks, refines
-from nilschober.perms import block_cross, compose, identity
-from nilschober.shuffles import (
+from level_model import (
     LevelParams,
-    ShuffleError,
     anycross,
     crosses_at_least,
     delta_decompose,
-    enumerate_shuffles,
     mincross,
-    shuffle_count,
 )
+from nilschober.compositions import all_compositions, blocks, refines
+from nilschober.perms import block_cross, compose, identity
+from nilschober.shuffles import ShuffleError, enumerate_shuffles, shuffle_count
 
 
 def brute_shuffles(sigma, tau):
@@ -95,6 +94,9 @@ def test_counts_match_multinomials(n):
 def test_invalid_refinement_rejected():
     with pytest.raises(ShuffleError):
         enumerate_shuffles((2, 3), (3, 2))
+
+
+# The level model (tests/level_model.py)
 
 
 def test_terminal_anycross_beta0_is_identity():

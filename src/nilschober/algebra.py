@@ -391,12 +391,21 @@ class NilCoxeterModule:
 
     def _action_cells(self, w: Perm) -> list[tuple[int, int]]:
         """The (row, col) cells where w acts by 1, by column: e_u . w =
-        e_{u o w} when lengths add."""
+        e_{u o w} when lengths add.  For a simple crossing s_i they add
+        exactly when u(i) < u(i+1), and u o s_i is u with positions i and
+        i+1 swapped, so no `nil_product` is formed."""
         cells = self._cells.get(w)
         if cells is None:
+            moved = [p for p, v in enumerate(w) if v != p + 1]
+            i = moved[0] if len(moved) == 2 and moved[1] == moved[0] + 1 else None
             cells = []
             for c, u in enumerate(self.basis):
-                img = nil_product(u, w)
+                if i is None:
+                    img = nil_product(u, w)
+                elif u[i] < u[i + 1]:  # 0-based: the crossing swaps i, i + 1
+                    img = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
+                else:
+                    img = None
                 if img is None:
                     continue
                 r = self.index.get(img)

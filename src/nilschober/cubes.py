@@ -196,7 +196,8 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
     """The composed products as byte codes: byte p-1 of a code is w(p).
 
     Walking the word top to bottom, each induction step contributes its
-    shuffle set; the outer one composes on the left of the inner one.
+    shuffle set; the outer one composes on the left of the inner one, as
+    one table buffer (`outer_tables`) applied by `shuffle_products`.
     """
     outer, inner = vertex_hom_layers(word)
     tables = outer_tables(*outer)  # refuses more than 255 strands first
@@ -204,55 +205,74 @@ def word_codes(word: FunctorWord) -> frozenset[bytes]:
     return shuffle_products(tables, shuffles, word)
 
 
-def outer_tables(cd: Composition, outer_fine: Composition) -> list[bytes]:
-    """The translate tables of the outer shuffles of (cd, outer_fine):
-    table[x] = e(x) for x = 1..n, so `f.translate(table)` is `compose(e, f)`.
+def outer_tables(cd: Composition, outer_fine: Composition) -> bytes:
+    """The outer shuffles e of (cd, outer_fine), in `enumerate_shuffles`
+    order, as one buffer of n + 1 bytes per e: byte 0 is 0 and byte x is
+    e(x).  So `tables[x::n + 1]` is column x, and one e's bytes plus the
+    identity tail `_BYTES[n + 1:]` are its translate table.
 
-    The outer shuffles are never enumerated as one set: each cd-block
-    takes its words from the one-block set `enumerate_shuffles((size,),
-    parts)`, shifted into the block's value range, and the tables are the
-    concatenations of one word per block.  They stay n + 1 bytes long.
+    No outer set is enumerated and no table is an object of its own: each
+    cd-block takes its words from the one-block set `enumerate_shuffles(
+    (size,), parts)`.  From the last block back, the later blocks' values
+    move up by the block's size (a translate, which keeps 0), and for each
+    word one `replace` of the 0 starting every table puts it in front.
     """
     n = total(cd)
     if n > 255:
         raise CubeError(f"byte-coded diagrams hold at most 255 strands, got {n}")
-    tables = [b"\0"]
-    start = j = 0
-    for size in cd:
-        k, filled = j, 0
+    tables, k = b"\0", len(outer_fine)
+    for size in reversed(cd):
+        j, filled = k, 0
         while filled < size:
-            filled += outer_fine[k]
-            k += 1
+            j -= 1
+            filled += outer_fine[j]
         if filled != size:
             raise CubeError(f"{outer_fine} does not refine {cd}")
-        shift = _BYTES[start:] + _BYTES[:start]
-        words = [
-            bytes(w).translate(shift)
+        tables = tables.translate(b"\0" + _BYTES[size + 1 :] + _BYTES[1 : size + 1])
+        tables = b"".join([
+            tables.replace(b"\0", b"\0" + bytes(w))
             for w in enumerate_shuffles((size,), outer_fine[j:k])
-        ]
-        tables = [t + w for t in tables for w in words]
-        start, j = start + size, k
+        ])
+        k = j
     return tables
 
 
 def shuffle_products(
-    tables: list[bytes], inner: list[bytes], word: FunctorWord
+    tables: bytes, inner: list[bytes], word: FunctorWord
 ) -> frozenset[bytes]:
-    """Every outer table applied to every inner shuffle of `word`.
-
-    Each table gets the identity tail once, just before it translates
-    every inner shuffle, so one full table is alive at a time: the 518,400
-    full tables of ((6, 6), (1,) * 12) would hold 133 MB.  Products must
-    be pairwise distinct, as in `word_factorizations`, or the word is
-    ill-formed.
+    """Every table of `outer_tables` applied to every inner shuffle of
+    `word`, in C: the codes are written into one buffer, 0 between two,
+    and cut out by one `split(b"\\0")` (a code never holds 0, and byte 0
+    of every table maps 0 to 0).  Of two loops, the one with fewer
+    Python-level steps runs, so the product count never sets them: a
+    translate of the 0-joined inner shuffles per table, or n + 1 column
+    slices of the tables and then n strided slices per inner shuffle f,
+    each gathering byte p of every e o f, which is byte f[p] of e.
+    Products must be pairwise distinct, as in `word_factorizations`, or
+    the word is ill-formed.
     """
-    tail = _BYTES[len(tables[0]) :]
-    codes = frozenset(
-        f.translate(full) for full in (t + tail for t in tables) for f in inner
-    )
-    if len(codes) < len(tables) * len(inner):
+    if not inner:
+        return frozenset()
+    n, size = len(inner[0]), len(tables)
+    step, count = n + 1, size // (n + 1)
+    if count > n * len(inner) + step:
+        columns = [tables[x::step] for x in range(step)]
+        buf = bytearray(size * len(inner) - 1)
+        for base, f in zip(range(0, len(buf), size), inner):
+            for p, x in enumerate(f, base):
+                buf[p : base + size : step] = columns[x]
+        codes = bytes(buf).split(b"\0")
+    else:
+        joined, padded = b"\0".join(inner), tables + _BYTES[step:]
+        buf = []
+        for i in range(0, size, step):  # padded[i : i + 256] starts with table i
+            buf.append(joined.translate(padded[i : i + 256]))
+        codes = b"\0".join(buf).split(b"\0")
+    del buf  # the set being built is the call's memory peak
+    codes = frozenset(codes)
+    if len(codes) < count * len(inner):
         raise CubeError(
-            f"{len(tables) * len(inner) - len(codes)} shuffle products "
+            f"{count * len(inner) - len(codes)} shuffle products "
             f"collide in {word.rows}"
         )
     return codes

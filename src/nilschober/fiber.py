@@ -26,7 +26,8 @@ v10 and v11 are v00 and v01 with the delta1 cuts added.  An f in F1
 keeps the v10 blocks, hence the v00 ones, and is increasing on each v01
 block, since a delta1 cut puts its two halves in different v10 blocks.
 So F1 lies in F0, the kernel is E o (F0 - F1) and the lower vertex
-E o F1, and the upper vertex is never built as one set.
+E o F1, both composed in C from one buffer of E's translate tables
+(`cubes.outer_tables`), and the upper vertex is never built as one set.
 
 Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
 every later collapse is one frozenset difference (`_kernel`): the lower
@@ -174,7 +175,7 @@ def _kernel(upper: Codes, lower: Codes, axis: str, index: Index, decode) -> Code
 
 def _layer_kernel(spec: CubeSpec, beta: Index) -> tuple[Codes, Codes]:
     """(kernel, lower vertex) of the layer collapse at beta, both built on
-    one list of outer tables from the nested inner sets F1 <= F0 (see the
+    one buffer of outer tables from the nested inner sets F1 <= F0 (see the
     module docstring); the upper vertex is never built as one set."""
     upper, lower = bc_word(spec, beta, 0), bc_word(spec, beta, 1)
     (outer, inner0), (_, inner1) = vertex_hom_layers(upper), vertex_hom_layers(lower)

@@ -24,7 +24,7 @@ from nilschober.compositions import all_compositions, refinement_pairs, refines
 from nilschober.expr import eval_string, format_element
 from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul, zeros
 from nilschober.oracle import HomSpace
-from nilschober.perms import compose, inversions, nil_product
+from nilschober.perms import adjacent_transposition, compose, inversions, nil_product
 from nilschober.shuffles import enumerate_shuffles
 
 W = (3, 1, 2)  # the 3-cycle diagram of the NH_3 example, IX stacked on XI
@@ -291,6 +291,29 @@ def test_nilcoxeter_action_relations(tau):
             lhs = mat_mul(m, mat_mul(m2, m))
             rhs = mat_mul(m2, mat_mul(m, m2))
             assert mat_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_simple_crossing_cells_match_nil_product(n):
+    """The descent test of `_action_cells` gives, for every s_i and every
+    tau of n strands, the cells that nil_product gives: (row of u o s_i,
+    col of u) for each basis u whose lengths add with s_i.  A crossing
+    across two blocks leaves the basis and raises on both sides."""
+    for tau in all_compositions(n):
+        mod = NilCoxeterModule(tau)
+        for i in range(1, n):
+            s_i = adjacent_transposition(n, i)
+            try:
+                want = [
+                    (mod.index[img], c)
+                    for c, u in enumerate(mod.basis)
+                    if (img := nil_product(u, s_i)) is not None
+                ]
+            except KeyError:
+                with pytest.raises(AlgebraError, match="leaves the module basis"):
+                    mod._action_cells(s_i)
+            else:
+                assert mod._action_cells(s_i) == want, (tau, i)
 
 
 def _block_preserving(n, tau):

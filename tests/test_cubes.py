@@ -12,14 +12,17 @@ from nilschober.cubes import (
     CubeSpec,
     FunctorWord,
     bc_vertex,
+    bc_word,
     build_bifactorization,
+    vertex_hom_layers,
     vertex_rank_from_word,
     word_codes,
     word_factorizations,
 )
 from nilschober.fiber import total_fiber
-from nilschober.perms import Perm, decode_sorted
+from nilschober.perms import Perm, compose, decode_sorted
 from nilschober.report import two_part_pairs
+from nilschober.shuffles import enumerate_shuffles
 
 
 def word_products(word: FunctorWord) -> tuple[Perm, ...]:
@@ -228,6 +231,96 @@ def test_repeated_shuffle_is_a_collision(monkeypatch):
     cube = build_bifactorization(((1, 2), (2, 1)))
     with pytest.raises(CubeError, match="collide"):
         bc_vertex(cube, (), 0)
+
+
+def _kernel_case(outer, inner):
+    """(tables, inner codes, expected products) of one outer layer and one
+    inner layer (fine, finer) whose products factor uniquely."""
+    tables = cubes_mod.outer_tables(*outer)
+    inner_codes = [bytes(f) for f in enumerate_shuffles(*inner)]
+    expected = {
+        bytes(compose(e, f))
+        for e in enumerate_shuffles(*outer)
+        for f in enumerate_shuffles(*inner)
+    }
+    return tables, inner_codes, expected
+
+
+_NO_WORD = FunctorWord(((1,),) * 5)  # named only by the collision message
+
+
+@pytest.mark.parametrize(
+    "outer, inner, gathers",
+    [
+        # 144 tables, 4 inner shuffles of 8 strands: 144 > 8 * 4 + 9 slices
+        (((4, 4), (1, 1, 2, 1, 1, 2)), ((1, 1, 2, 1, 1, 2), (1,) * 8), True),
+        # 36 tables, 1 inner shuffle: the gather, with a single f
+        (((3, 3), (1,) * 6), ((1,) * 6, (1,) * 6), True),
+        # more tables than inner shuffles, but fewer than the gather's slices
+        (((4, 4), (2, 2, 2, 2)), ((2, 2, 2, 2), (1,) * 8), False),
+        # fewer tables (3) than inner shuffles (12)
+        (((3, 3), (1, 2, 3)), ((1, 2, 3), (1,) * 6), False),
+        # as many tables as inner shuffles (3)
+        (((3, 3), (1, 2, 3)), ((1, 2, 3), (1, 2, 2, 1)), False),
+        # a single table
+        (((3, 3), (3, 3)), ((3, 3), (1, 2, 1, 2)), False),
+    ],
+)
+def test_shuffle_products_compose_every_pair(monkeypatch, outer, inner, gathers):
+    """Both loops of shuffle_products give {bytes(compose(e, f))}; only the
+    gather allocates a bytearray, which tells the loops apart."""
+    made = []
+    monkeypatch.setattr(
+        cubes_mod, "bytearray", lambda size: made.append(size) or bytearray(size),
+        raising=False,
+    )
+    tables, inner_codes, expected = _kernel_case(outer, inner)
+    codes = cubes_mod.shuffle_products(tables, inner_codes, _NO_WORD)
+    assert codes == expected
+    assert len(codes) == len(tables) // (sum(outer[0]) + 1) * len(inner_codes)
+    assert bool(made) == gathers
+
+
+def test_shuffle_products_of_no_inner_shuffle_is_empty():
+    tables = cubes_mod.outer_tables((3, 3), (1, 2, 3))
+    assert cubes_mod.shuffle_products(tables, [], _NO_WORD) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        (((4, 4), (1, 1, 2, 1, 1, 2)), ((1, 1, 2, 1, 1, 2), (1,) * 8)),  # gather
+        (((3, 3), (1, 2, 3)), ((1, 2, 3), (1,) * 6)),  # a translate per table
+    ],
+)
+@pytest.mark.parametrize("repeat", ["inner", "table"])
+def test_shuffle_products_refuse_a_repeat(outer, inner, repeat):
+    """A repeated inner shuffle or a repeated table makes products collide,
+    in both loops."""
+    tables, inner_codes, _ = _kernel_case(outer, inner)
+    if repeat == "inner":
+        inner_codes = inner_codes + inner_codes[-1:]
+    else:
+        tables = tables + tables[-(sum(outer[0]) + 1) :]
+    with pytest.raises(CubeError, match="collide"):
+        cubes_mod.shuffle_products(tables, inner_codes, _NO_WORD)
+
+
+def test_outer_tables_lay_out_every_outer_layer():
+    """outer_tables is the enumerate_shuffles order of the outer shuffles,
+    each as 0 and its one-line bytes, for every outer layer of every cube
+    with n <= 8."""
+    layers = set()
+    for n in range(2, 9):
+        for pair in two_part_pairs(n):
+            cube = build_bifactorization(pair)
+            for beta in product((0, 1), repeat=cube.dim - 2):
+                for layer in (0, 1):
+                    layers.add(vertex_hom_layers(bc_word(cube, beta, layer))[0])
+    assert len(layers) > 100
+    for cd, outer_fine in sorted(layers):
+        expected = b"".join(bytes((0, *e)) for e in enumerate_shuffles(cd, outer_fine))
+        assert cubes_mod.outer_tables(cd, outer_fine) == expected, (cd, outer_fine)
 
 
 def test_outer_layers_are_never_enumerated_as_one_set(monkeypatch):

@@ -33,13 +33,12 @@ Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
 every later collapse is one frozenset difference (`_kernel`): the lower
 set lies inside the upper one exactly when the difference and the lower
 set together have as many codes as the upper set.  They are decoded into
-sorted one-line tuples only when `vertex_sets` is read; a mirrored level
-keeps the codes of the mirror pair and conjugates them back on that read.
+sorted one-line tuples only when `vertex_sets` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -48,7 +47,6 @@ from .compositions import (
     Pair,
     PairCase,
     classify_pair,
-    mirror_pair,
     refinement_pairs,
     refines,
     total,
@@ -85,16 +83,10 @@ Codes = frozenset[bytes]
 @dataclass(frozen=True)
 class IntermediateCube:
     """One stage of the iteration: `level` axes remain and every remaining
-    index carries the byte codes of the diagrams spanning its vertex.
+    index carries the byte codes of the diagrams spanning its vertex."""
 
-    `mirrored` marks codes computed on the mirror pair: they stand for
-    their conjugates by the order reversal.
-    """
-
-    pair: Pair
     axes: tuple[str, ...]
     codes: dict[Index, Codes]
-    mirrored: bool = False
 
     @property
     def level(self) -> int:
@@ -103,14 +95,7 @@ class IntermediateCube:
     @cached_property
     def vertex_sets(self) -> dict[Index, DiagramSet]:
         """Every vertex's diagrams as sorted one-line permutations."""
-        return {index: self._decode(c) for index, c in self.codes.items()}
-
-    def _decode(self, codes: Codes) -> DiagramSet:
-        if not self.mirrored:
-            return decode_sorted(codes)
-        n = sum(self.pair[0])
-        flip = bytes((0, *range(n, 0, -1))) + bytes(range(n + 1, 256))
-        return decode_sorted(w[::-1].translate(flip) for w in codes)
+        return {index: decode_sorted(c) for index, c in self.codes.items()}
 
 
 def collapse_order(cube: CubeSpec) -> list[str]:
@@ -137,7 +122,7 @@ def initial_cube(pair: Pair) -> IntermediateCube:
     for beta in iproduct((0, 1), repeat=cube.dim - 2):
         for layer in (0, 1):
             codes[beta + (layer,)] = bc_vertex(cube, beta, layer).codes
-    return IntermediateCube(pair, axes, codes)
+    return IntermediateCube(axes, codes)
 
 
 def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
@@ -155,12 +140,11 @@ def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
         if index[pos] != 0:
             continue
         lower = cube.codes[index[:pos] + (1,) + index[pos + 1 :]]
-        kernel = _kernel(upper, lower, axis, index, cube._decode)
-        codes[index[:pos] + index[pos + 1 :]] = kernel
-    return replace(cube, axes=rest, codes=codes)
+        codes[index[:pos] + index[pos + 1 :]] = _kernel(upper, lower, axis, index)
+    return IntermediateCube(rest, codes)
 
 
-def _kernel(upper: Codes, lower: Codes, axis: str, index: Index, decode) -> Codes:
+def _kernel(upper: Codes, lower: Codes, axis: str, index: Index) -> Codes:
     """upper - lower, collapsing `axis` at the upper vertex `index`; raises
     FiberContainmentError unless lower lies inside upper."""
     kernel = upper - lower
@@ -168,7 +152,7 @@ def _kernel(upper: Codes, lower: Codes, axis: str, index: Index, decode) -> Code
         missing = lower - upper
         raise FiberContainmentError(
             f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
-            f"missing from the upper set, e.g. {decode(missing)[0]}"
+            f"missing from the upper set, e.g. {decode_sorted(missing)[0]}"
         )
     return kernel
 
@@ -181,7 +165,7 @@ def _layer_kernel(spec: CubeSpec, beta: Index) -> tuple[Codes, Codes]:
     (outer, inner0), (_, inner1) = vertex_hom_layers(upper), vertex_hom_layers(lower)
     tables = outer_tables(*outer)
     f0, f1 = (frozenset(map(bytes, enumerate_shuffles(*i))) for i in (inner0, inner1))
-    f0 = _kernel(f0, f1, "layer", beta + (0,), decode_sorted)  # F0 - F1
+    f0 = _kernel(f0, f1, "layer", beta + (0,))  # F0 - F1
     kernel = shuffle_products(tables, sorted(f0), upper)
     codes = shuffle_products(tables, sorted(f1), lower)
     ranks = vertex_rank_from_word(upper), vertex_rank_from_word(lower)
@@ -243,7 +227,7 @@ def _collapse(
             else:
                 bits[axis] = 1
                 lower = walk(j - 1)
-            codes = _kernel(upper, lower, axis, index, decode_sorted)
+            codes = _kernel(upper, lower, axis, index)
         sizes[j][tuple(bits[a] for a in remaining[j])] = len(codes)
         return codes
 
@@ -274,13 +258,11 @@ class FiberReport:
     @cached_property
     def levels(self) -> list[IntermediateCube]:
         """Every level's cube, top first, built level at a time."""
-        cube = initial_cube(mirror_pair(self.pair) if self.mirrored else self.pair)
+        cube = initial_cube(self.pair)
         levels = [cube]
         for axis in self.order:
             cube = take_fiber_along(cube, axis)
             levels.append(cube)
-        if self.mirrored:
-            levels = [replace(c, pair=self.pair, mirrored=True) for c in levels]
         return levels
 
 
@@ -288,13 +270,8 @@ def total_fiber(pair: Pair) -> FiberReport:
     """Collapse the whole Beck-Chevalley cube of the pair, depth first.
 
     The report keeps each level's sizes and the residual; the level sets
-    are rebuilt only when `levels` is read.  Mirrored (a < c) pairs are
-    computed on the mirrored pair, and the residual is conjugated back by
-    the order reversal.  The report records that the mirror was used.
-    Collapsing a mirrored pair on its own cube gives the same sets, but
-    the transport stays: the mirror pair's shuffles are those of an
-    unmirrored pair, already cached, so the sweep enumerates and keeps
-    fewer of them.
+    are rebuilt only when `levels` is read.  The report records whether
+    the pair is mirrored (a < c).
 
     >>> total_fiber(((2, 3), (2, 3))).verdict
     'Vanishes'
@@ -302,11 +279,10 @@ def total_fiber(pair: Pair) -> FiberReport:
     'FlipEquivalence'
     """
     case = classify_pair(*pair)
-    compute_pair = mirror_pair(pair) if case.mirrored else pair
-    spec = build_bifactorization(compute_pair)
+    spec = build_bifactorization(pair)
     order = tuple(collapse_order(spec))
     codes, sizes = _collapse(spec, order)
-    residual = IntermediateCube(pair, (), {(): codes}, case.mirrored).vertex_sets[()]
+    residual = decode_sorted(codes)
     return FiberReport(
         pair=pair,
         case=case,

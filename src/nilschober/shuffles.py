@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .compositions import Composition, block_of, block_positions, refines
 from .perms import Perm
@@ -69,10 +69,8 @@ def enumerate_shuffles(sigma: Composition, tau: Composition) -> tuple[Perm, ...]
 
 
 def shuffle_count(sigma: Composition, tau: Composition) -> int:
-    """Product of multinomials, one per sigma-block."""
-    count = 1
-    for i, group in enumerate(group_refinement(sigma, tau)):
-        count *= factorial(sigma[i])
-        for j in group:
-            count //= factorial(tau[j])
-    return count
+    """Product of multinomials, one per sigma-block.  Each tau-part lies in
+    exactly one sigma-block, so the product is prod(sigma!) / prod(tau!)."""
+    if not refines(sigma, tau):
+        raise ShuffleError(f"{tau} does not refine {sigma}")
+    return prod(map(factorial, sigma)) // prod(map(factorial, tau))

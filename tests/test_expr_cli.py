@@ -13,9 +13,10 @@ from nilschober.algebra import AlgebraError
 from nilschober.cli import main, parse_pair
 from nilschober.cubes import CubeError
 from nilschober.expr import ExprError, eval_string, format_element, parse
-from nilschober.fiber import FiberContainmentError, FiberError
+from nilschober.fiber import FiberContainmentError, FiberError, total_fiber
 from nilschober.linalg import LinAlgError
 from nilschober.oracle import OracleError
+from nilschober.render import render_level
 from nilschober.report import (
     ReportError,
     build_report,
@@ -228,6 +229,22 @@ def test_cli_render_bottom_vertex(tmp_path, capsys):
 
     for m in re.finditer(r'<line x1="([0-9.]+)" y1="[0-9.]+" x2="([0-9.]+)"', svg):
         assert m.group(1) == m.group(2)
+
+
+@pytest.mark.parametrize("pair, digest", [
+    (((1, 2), (2, 1)), "7870193e2e42ab9cd8f8f23836c56c29284e2022ba21d4b6bbb51a84e7a6e47c"),
+    (((2, 3), (3, 2)), "eee1f7fdcc4c6ecbbaaf292be83ecc5b5678a0a45dd7ab9350099fbe3df29687"),
+    (((1, 4), (2, 3)), "8b64b8aa308618722aa3258e9c0e70e8ff8630bb4edb1f285dfd0a641ba873c0"),
+])
+def test_render_mirrored_pair_bytes(tmp_path, pair, digest):
+    """Every level of a mirrored (a < c) pair renders to pinned bytes: one
+    SHA-256 over each written file's name, a 0 byte and its bytes, level
+    by level and in the order render_level returns the files."""
+    h = hashlib.sha256()
+    for level in range(len(total_fiber(pair).order) + 1):
+        for path in render_level(pair, level, tmp_path / str(level)):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_cli_oracle_example(capsys):

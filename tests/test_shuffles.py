@@ -94,6 +94,8 @@ def test_counts_match_multinomials(n):
 def test_invalid_refinement_rejected():
     with pytest.raises(ShuffleError):
         enumerate_shuffles((2, 3), (3, 2))
+    with pytest.raises(ShuffleError):
+        shuffle_count((2, 3), (3, 2))
 
 
 # The level model (tests/level_model.py)

@@ -245,7 +245,6 @@ class FiberReport:
 
     pair: Pair
     case: PairCase
-    mirrored: bool
     order: tuple[str, ...]
     sizes: list[dict[Index, int]]
     verdict: str  # "Vanishes" | "FlipEquivalence" | "Other"
@@ -254,6 +253,11 @@ class FiberReport:
     def level_table(self) -> list[tuple[int, list[tuple[Index, int]]]]:
         top = len(self.order)
         return [(top - k, sorted(level.items())) for k, level in enumerate(self.sizes)]
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether the pair is mirrored (a < c)."""
+        return self.case.mirrored
 
     @cached_property
     def levels(self) -> list[IntermediateCube]:
@@ -270,23 +274,20 @@ def total_fiber(pair: Pair) -> FiberReport:
     """Collapse the whole Beck-Chevalley cube of the pair, depth first.
 
     The report keeps each level's sizes and the residual; the level sets
-    are rebuilt only when `levels` is read.  The report records whether
-    the pair is mirrored (a < c).
+    are rebuilt only when `levels` is read.
 
     >>> total_fiber(((2, 3), (2, 3))).verdict
     'Vanishes'
     >>> total_fiber(((1, 2), (2, 1))).verdict
     'FlipEquivalence'
     """
-    case = classify_pair(*pair)
     spec = build_bifactorization(pair)
     order = tuple(collapse_order(spec))
     codes, sizes = _collapse(spec, order)
     residual = decode_sorted(codes)
     return FiberReport(
         pair=pair,
-        case=case,
-        mirrored=case.mirrored,
+        case=classify_pair(*pair),
         order=order,
         sizes=sizes,
         verdict=verdict_of(pair, residual),

@@ -39,7 +39,7 @@ sorted one-line tuples only when `vertex_sets` is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .compositions import (
@@ -347,50 +347,55 @@ def check_far_commutativity(
     c1: Composition,
     d0: Composition,
     d1: Composition,
-    *,
-    memo: dict | None = None,
 ) -> bool:
     """Induce along the right slot, forget along the left, in both orders.
 
     True iff the two composite functors have the same shuffle index set and
     equal generator actions on the nil-Coxeter module of the source
-    algebra, compared generator by generator as their nonzero entries.
-
-    `memo` may be shared by the calls of one sweep, so that each object is
-    built once per sweep.  It keeps the NilCoxeterModule of each source
-    under `source`, the generator list of each algebra under (n, block),
-    and each route's HomSpace under (outer, inner, source) with the entries
-    of every generator computed on it.  Without it every call starts from
-    an empty one.
+    algebra, compared generator by generator as their nonzero entries: the
+    one case of `far_commutativity_failures`.
     """
-    from .algebra import NilCoxeterModule, generators
-    from .oracle import HomSpace
-
     a, b = ab
     if total(c0) != a or total(c1) != a or total(d0) != b or total(d1) != b:
         raise FiberError("compositions do not split the two blocks")
     if not refines(c0, c1) or not refines(d0, d1):
         raise FiberError("need c0 <= c1 and d0 <= d1")
-    if memo is None:
-        memo = {}
-    source = c0 + d1
+    return not far_commutativity_failures([(ab, c0, c1, d0, d1)])
 
-    def once(key, build):
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
 
-    module = once(source, lambda: NilCoxeterModule(source))
+def far_commutativity_failures(cases: list[tuple]) -> list[tuple]:
+    """The cases (ab, c0, c1, d0, d1) whose two routes differ, in the order
+    given.  They are checked grouped by their source s = c0 + d1, read as
+    one composition of n, so the splits ab share it (`_source_verdicts`);
+    each generator list is built once per (n, block) for the whole call."""
+    from .algebra import generators
 
+    groups: dict[Composition, list[tuple]] = {}
+    for case in cases:
+        _, c0, _, _, d1 = case
+        groups.setdefault(c0 + d1, []).append(case)
+    gens = cache(generators)
+    ok: dict[tuple, bool] = {}
+    for source, group in groups.items():
+        ok.update(_source_verdicts(source, group, gens))
+    return [case for case in cases if not ok[case]]
+
+
+def _source_verdicts(
+    source: Composition, group: list[tuple], gens
+) -> dict[tuple, bool]:
+    """Whether each case of one source's group commutes.  Route a is
+    HomSpace(c0 + d0, s), route b HomSpace(c1 + d0, c1 + d1), both over
+    NilCoxeterModule(s).  The module, the routes and the entries of each
+    generator on them are built once here and freed when it returns."""
+    from .algebra import NilCoxeterModule
+    from .oracle import HomSpace
+
+    module = NilCoxeterModule(source)
+
+    @cache
     def route(outer: Composition, inner: Composition):
-        return once(
-            (outer, inner, source), lambda: (HomSpace(outer, inner, module), {})
-        )
-
-    route_a = route(c0 + d0, c0 + d1)
-    route_b = route(c1 + d0, c1 + d1)
-    if route_a[0].shuffles != route_b[0].shuffles:
-        return False
+        return HomSpace(outer, inner, module), {}
 
     def entries(side, g):
         space, table = side
@@ -399,8 +404,11 @@ def check_far_commutativity(
             table[key] = space.action_entries(g)
         return table[key]
 
-    n, block = a + b, c1 + d0
-    for g in once((n, block), lambda: generators(n, block)):
-        if entries(route_a, g) != entries(route_b, g):
-            return False
-    return True
+    verdicts = {}
+    for case in group:
+        (a, b), c0, c1, d0, d1 = case
+        route_a, route_b = route(c0 + d0, source), route(c1 + d0, c1 + d1)
+        verdicts[case] = route_a[0].shuffles == route_b[0].shuffles and all(
+            entries(route_a, g) == entries(route_b, g) for g in gens(a + b, c1 + d0)
+        )
+    return verdicts

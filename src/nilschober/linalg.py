@@ -65,13 +65,6 @@ def from_entries(entries: Entries, rows: int, cols: int) -> Matrix:
     return m
 
 
-def identity_matrix(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise LinAlgError(f"shape mismatch {len(a[0])} vs {len(b)}")
@@ -89,16 +82,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if bk[j]:
                     oi[j] += c * bk[j]
     return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def _sparse(m: Matrix) -> SparseMatrix:

@@ -21,18 +21,18 @@ The coordinate collapse reads the realized entries of `_two_layer_entries`,
 never the diagram engine's byte codes, and it checks containment and
 surjectivity instead of assuming them.
 The adjunction check fixes a map Res M -> N by its values at a few seeds.
-On the default M, the nil-Coxeter module of sigma, it spins nothing: the
+On M = NilCoxeterModule(sigma), the default, it spins nothing: the
 orbits of tau's crossings on M's cells are checked to be free and
 disjoint, so Res M is one copy of the nil-Coxeter algebra of tau per
 seed, and Hom_tau(Res M, N) one copy per seed of the part of N that the
 dots and h kill (`_free_seeds`); M is cyclic on e_id, so
 Hom_sigma(M, Ind N) is the part of Ind N that they kill; the comparison
 reads one block of Ind N per seed through the parabolic factorization.
-Orbits that are not free, and a caller-given M, take the spin of Res M
-under the generator actions (`spin_hom`), and a caller-given M a second
-spin, into Ind N.  Nothing here reuses the set-difference shortcut of
-the diagram engine, so agreement between the two is evidence, not
-tautology.
+Orbits that are not free, and an M other than NilCoxeterModule(sigma),
+take the spin of Res M under the generator actions (`spin_hom`), and such
+an M a second spin, into Ind N.  Nothing here reuses the set-difference
+shortcut of the diagram engine, so agreement between the two is
+evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -559,7 +559,7 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
     identity shuffle) must be a bijection: the two dimensions agree and
     the comparison has full rank (`_adjunction_ranks`).
 
-    On the default M = NilCoxeterModule(sigma) the check is structural
+    On M = NilCoxeterModule(sigma), the default, the check is structural
     and spins nothing: Res M is one free module over the nil-Coxeter
     algebra of tau per seed, so the tau side is one copy per seed of the
     part of N that the dots and h kill; the sigma side is the part of
@@ -568,8 +568,8 @@ def check_adjunction(sigma: Composition, tau: Composition, m_mod=None, n_mod=Non
     computes is the walk of M's tau-crossing cells, which checks that the
     orbits are free and disjoint, the X and h actions of N and Ind N, and
     the count of the comparison rank.  Orbits that are not free make it
-    spin Res M; a caller-given M makes it spin both sides, and a dotted N
-    makes it solve.
+    spin Res M; an M other than NilCoxeterModule(sigma) makes it spin both
+    sides, and a dotted N makes it solve.
     """
     small, big, comparison = _adjunction_ranks(sigma, tau, m_mod, n_mod)
     return small == big == comparison
@@ -581,22 +581,22 @@ def _adjunction_ranks(
     """dim Hom_tau(Res M, N), dim Hom_sigma(M, Ind N) and the rank of the
     comparison map from the second to the first.
 
-    When M is not given, it is NilCoxeterModule(sigma).  Res M is then
-    checked to be free over NC_tau = NH_tau/(X_i, h), one copy per orbit of
-    the crossings inside tau's blocks (`_free_seeds`), so Hom_tau(Res M, N)
-    is one copy per seed of the part of N that the dots and h kill; the
-    sigma side and the comparison come from the universal property of M
-    (`_cyclic_side`).  If the orbits are not free, Res M is spun under the
-    tau generators (`spin_hom`) instead.  A caller-given M need not be
-    cyclic, so it takes both spins: of Res M into N, and of M into Ind N
-    under the sigma generators.
+    When M is not given, it is NilCoxeterModule(sigma).  On that M, given
+    or not, Res M is checked to be free over NC_tau = NH_tau/(X_i, h), one
+    copy per orbit of the crossings inside tau's blocks (`_free_seeds`), so
+    Hom_tau(Res M, N) is one copy per seed of the part of N that the dots
+    and h kill; the sigma side and the comparison come from the universal
+    property of M (`_cyclic_side`).  If the orbits are not free, Res M is
+    spun under the tau generators (`spin_hom`) instead.  An M other than
+    NilCoxeterModule(sigma) need not be cyclic, so it takes both spins: of
+    Res M into N, and of M into Ind N under the sigma generators.
     """
     if not refines(sigma, tau):
         raise OracleError(f"{tau} does not refine {sigma}")
     n = total(sigma)
-    cyclic = m_mod is None
-    if cyclic:
+    if m_mod is None:
         m_mod = NilCoxeterModule(sigma)
+    cyclic = isinstance(m_mod, NilCoxeterModule) and m_mod.tau == sigma
     if n_mod is None:
         n_mod = NilCoxeterModule(tau)
     kills = [AlgebraElement.x_gen(n, i, sigma) for i in range(1, n + 1)]

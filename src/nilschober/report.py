@@ -17,9 +17,9 @@ from .compositions import Pair, all_compositions, classify_pair, refinement_pair
 from .cubes import build_bifactorization
 from .fiber import (
     FiberReport,
-    check_far_commutativity,
     check_recursiveness,
     collapse_order,
+    far_commutativity_failures,
     is_twist_pair,
     total_fiber,
     verdict_of,
@@ -51,9 +51,11 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
     of `n_total`.  Each failure is recorded once, as (check name, message),
     in sweep order: adjunctability, recursiveness, far-commutativity.  A
     check is true exactly when no record names it."""
+    from .algebra import NilCoxeterModule
     from .oracle import check_adjunction
 
     failed: list[tuple[str, str]] = []
+    m_mod = None  # NilCoxeterModule(sigma), one per sigma: its taus come together
     for sigma, tau in refinement_pairs(n_total):
         # induction is a finite free right adjoint: every refinement edge's
         # shuffle basis exists with the multinomial rank
@@ -64,7 +66,9 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
                 f"shuffle basis of {sigma} <= {tau} has {size} elements, "
                 f"multinomial {count}",
             ))
-        if n_total <= max_oracle and not check_adjunction(sigma, tau):
+        if n_total <= max_oracle and (m_mod is None or m_mod.tau != sigma):
+            m_mod = NilCoxeterModule(sigma)
+        if n_total <= max_oracle and not check_adjunction(sigma, tau, m_mod):
             failed.append(("adjunctability", f"adjunction fails at {sigma} <= {tau}"))
     for comp in all_compositions(n_total):
         for i in range(1, len(comp) + 1):
@@ -72,22 +76,25 @@ def _global_checks(n_total: int, max_oracle: int) -> tuple[dict[str, bool], list
                 failed.append(
                     ("recursiveness", f"recursiveness fails at {comp}, slot {i}")
                 )
-    matrix_far = n_total <= max(5, max_oracle)
-    memo: dict = {}  # route actions shared by this sweep only
+    cases = []
     for a in range(1, n_total):
         b = n_total - a
         for (c0, c1), (d0, d1) in product(refinement_pairs(a), refinement_pairs(b)):
-            if matrix_far:
-                ok = check_far_commutativity((a, b), c0, c1, d0, d1, memo=memo)
-            else:
-                ok = enumerate_shuffles(c0 + d0, c0 + d1) == enumerate_shuffles(
-                    c1 + d0, c1 + d1
-                )
-            if not ok:
-                failed.append((
-                    "far_commutativity",
-                    f"far-commutativity fails at ({a},{b}), {c0}<={c1}, {d0}<={d1}",
-                ))
+            cases.append(((a, b), c0, c1, d0, d1))
+    if n_total <= max(5, max_oracle):
+        bad = far_commutativity_failures(cases)
+    else:
+        bad = [
+            (ab, c0, c1, d0, d1)
+            for ab, c0, c1, d0, d1 in cases
+            if enumerate_shuffles(c0 + d0, c0 + d1)
+            != enumerate_shuffles(c1 + d0, c1 + d1)
+        ]
+    for (a, b), c0, c1, d0, d1 in bad:
+        failed.append((
+            "far_commutativity",
+            f"far-commutativity fails at ({a},{b}), {c0}<={c1}, {d0}<={d1}",
+        ))
     checks = {name: all(c != name for c, _ in failed) for name in CHECK_NAMES[:3]}
     return checks, [message for _, message in failed]
 

@@ -166,7 +166,8 @@ def test_criterion_5_nh3_example_suite():
     # bicartesian with top map (A, B, C) -> (A, A.IX, B, C)
     from fractions import Fraction
 
-    from nilschober.linalg import mat_eq, zeros
+    from dense_matrices import mat_eq
+    from nilschober.linalg import zeros
     from nilschober.oracle import RealizedVertex, realize_map
 
     mod = NilCoxeterModule((1, 2))

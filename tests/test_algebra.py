@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from dense_matrices import is_zero_matrix, mat_eq
 from nilschober.algebra import (
     AlgebraElement as A,
 )
@@ -22,7 +23,7 @@ from nilschober.algebra import (
 )
 from nilschober.compositions import all_compositions, refinement_pairs, refines
 from nilschober.expr import eval_string, format_element
-from nilschober.linalg import is_zero_matrix, mat_eq, mat_mul, zeros
+from nilschober.linalg import mat_mul, zeros
 from nilschober.oracle import HomSpace
 from nilschober.perms import adjacent_transposition, compose, inversions, nil_product
 from nilschober.shuffles import enumerate_shuffles

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from itertools import product
 from math import comb
@@ -516,9 +517,8 @@ def test_far_commutativity_can_fail(monkeypatch):
     assert report_ok(build_report(4))
     _perturb_route_b(monkeypatch)
     assert not check_far_commutativity(*args)
-    assert not check_far_commutativity(*args, memo={})
     # c0 == c1: both routes are the same unperturbed space
-    assert check_far_commutativity((2, 2), (2,), (2,), (2,), (1, 1), memo={})
+    assert check_far_commutativity((2, 2), (2,), (2,), (2,), (1, 1))
     doc = build_report(4)
     assert not report_ok(doc)
     for entry in doc["pairs"]:
@@ -549,19 +549,22 @@ def test_forced_failures_keep_their_order(monkeypatch):
     }
     real_adj = oracle.check_adjunction
     real_rec = report.check_recursiveness
-    real_far = report.check_far_commutativity
+    real_far = report.far_commutativity_failures
     monkeypatch.setattr(
         oracle, "check_adjunction",
-        lambda sigma, tau: (sigma, tau) not in bad_adj and real_adj(sigma, tau),
+        lambda sigma, tau, m_mod: (sigma, tau) not in bad_adj
+        and real_adj(sigma, tau, m_mod),
     )
     monkeypatch.setattr(
         report, "check_recursiveness",
         lambda n, comp, i: (comp, i) not in bad_rec and real_rec(n, comp, i),
     )
-    monkeypatch.setattr(
-        report, "check_far_commutativity",
-        lambda *args, memo: args not in bad_far and real_far(*args, memo=memo),
-    )
+
+    def far(cases):
+        real = real_far(cases)
+        return [case for case in cases if case in bad_far or case in real]
+
+    monkeypatch.setattr(report, "far_commutativity_failures", far)
     doc = build_report(4, max_oracle=4)
     expected = [
         "adjunction fails at (4,) <= (2, 2)",
@@ -594,9 +597,9 @@ def test_structural_adjunction_failure_still_runs_the_oracle(monkeypatch):
     real_adj = oracle.check_adjunction
     real_count = report.shuffle_count
 
-    def counted(sigma, tau):
+    def counted(sigma, tau, m_mod):
         calls.append((sigma, tau))
-        return real_adj(sigma, tau)
+        return real_adj(sigma, tau, m_mod)
 
     def wrong(sigma, tau):
         return real_count(sigma, tau) + ((sigma, tau) == ((2, 2), (1, 1, 1, 1)))
@@ -672,16 +675,16 @@ def test_global_failures_come_before_a_pairs_own(monkeypatch):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-def test_shared_memo_matches_fresh_calls(monkeypatch, perturbed):
-    """One memo over the whole n <= 5 sweep gives the verdicts of fresh
-    calls, also when route b is perturbed so that the verdicts differ."""
+def test_grouped_sweep_matches_fresh_calls(monkeypatch, perturbed):
+    """One grouped sweep over every case with n <= 5 fails exactly the
+    cases whose fresh single-case calls fail, in the order given, also
+    when route b is perturbed so that the verdicts differ."""
     if perturbed:
         _perturb_route_b(monkeypatch)
     cases = list(_far_commutativity_cases(5))
-    memo: dict = {}
-    shared = [check_far_commutativity(*case, memo=memo) for case in cases]
     fresh = [check_far_commutativity(*case) for case in cases]
-    assert shared == fresh
+    grouped = fiber.far_commutativity_failures(cases)
+    assert grouped == [case for case, ok in zip(cases, fresh) if not ok]
     assert all(fresh) != perturbed
     assert any(fresh)
 
@@ -717,6 +720,56 @@ def test_one_sweep_builds_each_nil_coxeter_object_once(monkeypatch):
     assert len(modules) == len(set(modules)) == 15
     assert len(lists) == len(set(lists)) == 15
     assert 0 < len(splits) <= 300
+
+
+def test_adjunction_sweep_shares_one_m_per_sigma(monkeypatch):
+    """The matrix adjunctions of one n = 5 sweep run on one M per sigma:
+    81 calls over 16 sigmas, 16 distinct M objects, each the
+    NilCoxeterModule of the sigma it serves."""
+    calls = []
+    real_adj = oracle.check_adjunction
+
+    def recorded(sigma, tau, m_mod):
+        calls.append((sigma, m_mod))
+        return real_adj(sigma, tau, m_mod)
+
+    monkeypatch.setattr(oracle, "check_adjunction", recorded)
+    checks, failures = report._global_checks(5, 5)
+    assert all(checks.values()) and failures == []
+    assert len(calls) == 81
+    per_sigma = {}
+    for sigma, m_mod in calls:
+        per_sigma.setdefault(sigma, set()).add(id(m_mod))
+    assert len(per_sigma) == 16
+    assert all(len(ids) == 1 for ids in per_sigma.values())
+    assert len({id(m_mod) for _, m_mod in calls}) == 16
+    assert all(
+        isinstance(m_mod, algebra.NilCoxeterModule) and m_mod.tau == sigma
+        for sigma, m_mod in calls
+    )
+
+
+def test_far_sweep_frees_each_source_group(monkeypatch):
+    """The n = 5 far sweep holds one source group's objects at a time: when
+    the first route HomSpace of a new source s = c0 + d1 is built, every
+    route of the earlier sources is dead.  The 15 sources each start one
+    group."""
+    spaces = []  # (source, weak reference) of every route built
+    starts = 0
+    real_init = HomSpace.__init__
+
+    def recorded(self, outer, inner, module):
+        nonlocal starts
+        real_init(self, outer, inner, module)
+        if not spaces or spaces[-1][0] != module.tau:
+            starts += 1
+            assert all(ref() is None for _, ref in spaces), module.tau
+        spaces.append((module.tau, weakref.ref(self)))
+
+    monkeypatch.setattr(HomSpace, "__init__", recorded)
+    checks, failures = report._global_checks(5, 4)
+    assert all(checks.values()) and failures == []
+    assert starts == 15 and len(spaces) > starts
 
 
 def test_repeated_pair_query_is_byte_identical():

@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from dense_matrices import identity_matrix, is_zero_matrix, mat_eq
 from nilschober.linalg import (
     LinAlgError,
     SparseMatrix,
-    identity_matrix,
-    is_zero_matrix,
-    mat_eq,
     mat_mul,
     nullspace,
     rank,

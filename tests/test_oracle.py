@@ -9,6 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from dense_matrices import identity_matrix, mat_eq
 from level_model import reverse_conjugate
 from nilschober import oracle
 from nilschober.algebra import (
@@ -27,8 +28,6 @@ from nilschober.linalg import (
     LinAlgError,
     SparseMatrix,
     from_entries,
-    identity_matrix,
-    mat_eq,
     mat_mul,
     nullspace,
     rank,
@@ -301,17 +300,30 @@ def test_adjunction_single_block_five_strands():
     assert check_adjunction((5,), (2, 3))
 
 
+class _GivenModule:
+    """A module M that forwards `dim`, `basis` and `act_entries` to a
+    `NilCoxeterModule` without being one.  `_adjunction_ranks` takes the
+    free-orbit path only on NilCoxeterModule(sigma) itself, so on this M
+    it spins both sides, as on any other M."""
+
+    def __init__(self, module):
+        self.dim = module.dim
+        self.basis = module.basis
+        self.act_entries = module.act_entries
+
+
 def test_adjunction_can_fail(monkeypatch):
     """One broken input per failure branch of check_adjunction at
     ((3,), (1, 2)), where both Hom spaces have dimension 6.  The first two
-    break Ind N's s-actions, which only the spin of a caller-given M reads,
-    so they pass M; the relabelled split and the zero s_1 both leave every
-    action a partial permutation, so these spins take the index-map path
-    of spin_hom.  The last two break the default path: a nonzero X entry
+    break Ind N's s-actions, which only the spin of an M other than
+    NilCoxeterModule(sigma) reads, so they pass M through `_GivenModule`;
+    the relabelled split and the zero s_1 both leave every action a
+    partial permutation, so these spins take the index-map path of
+    spin_hom.  The last two break the default path: a nonzero X entry
     on Ind N, and a factorization that sends two seeds to one block."""
     assert _adjunction_ranks((3,), (1, 2)) == (6, 6, 6)
     identity = (1, 2, 3)
-    m_mod = NilCoxeterModule((3,))
+    m_mod = _GivenModule(NilCoxeterModule((3,)))
 
     # the identity and last shuffles relabelled in every ((3,), (1, 2))
     # split: Ind N is no longer the induced module, and the dimensions
@@ -604,8 +616,10 @@ def test_intertwiner_basis_from_entries_matches_dense_rows():
 
 
 def _nil_coxeter_cases(refinements):
+    """Nil-Coxeter M and N, M passed through `_GivenModule` so that it is
+    spun."""
     for sigma, tau in refinements:
-        yield sigma, tau, NilCoxeterModule(sigma), NilCoxeterModule(tau)
+        yield sigma, tau, _GivenModule(NilCoxeterModule(sigma)), NilCoxeterModule(tau)
 
 
 def _five_strand_refinements():
@@ -655,19 +669,23 @@ def test_spin_matches_full_system(cases, verdicts):
 def test_universal_property_matches_spin(monkeypatch, coefficients, max_n):
     """Without M, _adjunction_ranks reads Hom(Res M, N) off the free orbits
     of M = NilCoxeterModule(sigma), and Hom(M, Ind N) and the comparison
-    off its universal property, with no spin; given that M, it spins both
-    sides.  Both give the same ranks for every sigma <= tau: n <= 5 on
-    nil-Coxeter N, where no X or h action on N or Ind N has an entry, and
-    n <= 3 on truncated N, where they give equations.  The full systems of
-    test_spin_matches_full_system are too large for sigma = (5,), and its
-    truncated cases take a truncated M."""
+    off its universal property, with no spin, and so it does on that M
+    passed in; given the same M through `_GivenModule`, it spins both
+    sides.  All three give the same ranks for every sigma <= tau: n <= 5
+    on nil-Coxeter N, where no X or h action on N or Ind N has an entry,
+    and n <= 3 on truncated N, where they give equations.  The full
+    systems of test_spin_matches_full_system are too large for
+    sigma = (5,), and its truncated cases take a truncated M."""
     spins = _count_spins(monkeypatch)
     cases = 0
     for _, sigma, tau in _refinements(max_n):
         n_mod = coefficients(tau)
-        spun = _adjunction_ranks(sigma, tau, NilCoxeterModule(sigma), n_mod)
+        m_mod = NilCoxeterModule(sigma)
+        spun = _adjunction_ranks(sigma, tau, _GivenModule(m_mod), n_mod)
+        assert spins, (sigma, tau)
         spins.clear()
         assert _adjunction_ranks(sigma, tau, n_mod=n_mod) == spun, (sigma, tau)
+        assert _adjunction_ranks(sigma, tau, m_mod, n_mod) == spun, (sigma, tau)
         assert spins == [], (sigma, tau)
         cases += 1
     assert cases == {5: 121, 3: 13}[max_n]
@@ -745,8 +763,8 @@ def _count_spins(monkeypatch):
 def test_report_spins_nothing(monkeypatch):
     """The report at 5 strands with every matrix check on, the path of the
     CLI: its adjunctions, pair oracles and flip checks make no spin_hom
-    call, so only a caller-given M or an orbit that is not free reaches
-    the spin."""
+    call, so only an M other than NilCoxeterModule(sigma) or an orbit
+    that is not free reaches the spin."""
     spins = _count_spins(monkeypatch)
     assert report_ok(build_report(5, max_oracle=5))
     assert spins == []
@@ -771,7 +789,8 @@ def test_orbits_that_are_not_free_take_the_spin(monkeypatch, broken, ranks):
     """Negative control for the free orbits of the default path: with one
     s_2 cell of M dropped or added at ((3,), (1, 2)), some orbit has the
     wrong size or two orbits meet, so the path spins Res M once, and its
-    Res-side rank is that of the spin of the same M given by the caller.
+    Res-side rank is that of the spin of the same M given through
+    `_GivenModule`.
     The sigma side still comes from the universal property of M, which
     reads no action of M."""
     real_cells = NilCoxeterModule._action_cells
@@ -785,7 +804,7 @@ def test_orbits_that_are_not_free_take_the_spin(monkeypatch, broken, ranks):
     spins = _count_spins(monkeypatch)
     assert _adjunction_ranks((3,), (1, 2)) == ranks
     assert len(spins) == 1
-    given = _adjunction_ranks((3,), (1, 2), m_mod=NilCoxeterModule((3,)))
+    given = _adjunction_ranks((3,), (1, 2), m_mod=_GivenModule(NilCoxeterModule((3,))))
     assert given[0] == ranks[0]
 
 

@@ -6,11 +6,15 @@ category) to every vertex of {0,1}^d.  One layout, set by the three numbers
 (k, l, m) of the pair, serves all nine cases: each psi bit of a vertex is
 the OR of some of its axis bits.  The Beck-Chevalley cube's vertices are
 5-row functor words: restriction steps go coarse-to-fine, induction steps
-fine-to-coarse, composed top to bottom.
+fine-to-coarse, composed top to bottom.  A vertex's diagrams are the
+products e o f of an outer shuffle set Sh(cd, r) and an inner one
+(`vertex_hom_layers`), kept as byte codes (byte p-1 holds w(p)), and
+composed in one place, `compose_shuffles`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,7 +113,7 @@ class FunctorWord:
 
     def steps(self) -> tuple[str, ...]:
         """The step between each two consecutive rows, worked out once per
-        word: `word_codes` and `vertex_rank_from_word` both read it."""
+        word: `vertex_hom_layers` and `vertex_rank_from_word` both read it."""
         return self._steps
 
     @cached_property
@@ -173,7 +177,8 @@ def bc_vertex(cube: CubeSpec, beta: tuple[int, ...], layer: int) -> BCVertex:
     """The Beck-Chevalley vertex at (beta, layer), its products checked
     against its rank."""
     word = bc_word(cube, beta, layer)
-    codes = word_codes(word)
+    outer, inner = vertex_hom_layers(word)
+    codes = compose_shuffles(outer, shuffle_codes(*inner))
     rank = vertex_rank_from_word(word)
     if len(codes) != rank:
         raise CubeError(
@@ -192,88 +197,34 @@ def vertex_rank_from_word(word: FunctorWord) -> int:
     return rank
 
 
-def word_codes(word: FunctorWord) -> frozenset[bytes]:
-    """The composed products as byte codes: byte p-1 of a code is w(p).
-
-    Walking the word top to bottom, each induction step contributes its
-    shuffle set; the outer one composes on the left of the inner one, as
-    one table buffer (`outer_tables`) applied by `shuffle_products`.
-    """
-    outer, inner = vertex_hom_layers(word)
-    tables = outer_tables(*outer)  # refuses more than 255 strands first
-    shuffles = [bytes(f) for f in enumerate_shuffles(*inner)]
-    return shuffle_products(tables, shuffles, word)
-
-
-def outer_tables(cd: Composition, outer_fine: Composition) -> bytes:
-    """The outer shuffles e of (cd, outer_fine), in `enumerate_shuffles`
-    order, as one buffer of n + 1 bytes per e: byte 0 is 0 and byte x is
-    e(x).  So `tables[x::n + 1]` is column x, and one e's bytes plus the
-    identity tail `_BYTES[n + 1:]` are its translate table.
-
-    No outer set is enumerated and no table is an object of its own: each
-    cd-block takes its words from the one-block set `enumerate_shuffles(
-    (size,), parts)`.  From the last block back, the later blocks' values
-    move up by the block's size (a translate, which keeps 0), and for each
-    word one `replace` of the 0 starting every table puts it in front.
-    """
-    n = total(cd)
+def shuffle_codes(sigma: Composition, tau: Composition) -> frozenset[bytes]:
+    """The (sigma, tau)-shuffles as byte codes: byte p-1 of a code is w(p).
+    More than 255 strands are refused before any shuffle is enumerated."""
+    n = total(sigma)
     if n > 255:
         raise CubeError(f"byte-coded diagrams hold at most 255 strands, got {n}")
-    tables, k = b"\0", len(outer_fine)
-    for size in reversed(cd):
-        j, filled = k, 0
-        while filled < size:
-            j -= 1
-            filled += outer_fine[j]
-        if filled != size:
-            raise CubeError(f"{outer_fine} does not refine {cd}")
-        tables = tables.translate(b"\0" + _BYTES[size + 1 :] + _BYTES[1 : size + 1])
-        tables = b"".join([
-            tables.replace(b"\0", b"\0" + bytes(w))
-            for w in enumerate_shuffles((size,), outer_fine[j:k])
-        ])
-        k = j
-    return tables
+    return frozenset(map(bytes, enumerate_shuffles(sigma, tau)))
 
 
-def shuffle_products(
-    tables: bytes, inner: list[bytes], word: FunctorWord
-) -> frozenset[bytes]:
-    """Every table of `outer_tables` applied to every inner shuffle of
-    `word`, in C: the codes are written into one buffer, 0 between two,
-    and cut out by one `split(b"\\0")` (a code never holds 0, and byte 0
-    of every table maps 0 to 0).  Of two loops, the one with fewer
-    Python-level steps runs, so the product count never sets them: a
-    translate of the 0-joined inner shuffles per table, or n + 1 column
-    slices of the tables and then n strided slices per inner shuffle f,
-    each gathering byte p of every e o f, which is byte f[p] of e.
-    Products must be pairwise distinct, as in `word_factorizations`, or
-    the word is ill-formed.
+def compose_shuffles(outer: Pair, inner: Collection[bytes]) -> frozenset[bytes]:
+    """Every product e o f of an outer shuffle e of `outer` = (coarse, fine)
+    and a code f of `inner`, as byte codes: one `translate` per product, by
+    e's table (0, then e(1) .. e(n), then the identity).  Products must be
+    pairwise distinct, as in `word_factorizations`, or the layers are
+    ill-formed.
     """
+    coarse, fine = outer
+    if not refines(coarse, fine):
+        raise CubeError(f"{fine} does not refine {coarse}")
     if not inner:
         return frozenset()
-    n, size = len(inner[0]), len(tables)
-    step, count = n + 1, size // (n + 1)
-    if count > n * len(inner) + step:
-        columns = [tables[x::step] for x in range(step)]
-        buf = bytearray(size * len(inner) - 1)
-        for base, f in zip(range(0, len(buf), size), inner):
-            for p, x in enumerate(f, base):
-                buf[p : base + size : step] = columns[x]
-        codes = bytes(buf).split(b"\0")
-    else:
-        joined, padded = b"\0".join(inner), tables + _BYTES[step:]
-        buf = []
-        for i in range(0, size, step):  # padded[i : i + 256] starts with table i
-            buf.append(joined.translate(padded[i : i + 256]))
-        codes = b"\0".join(buf).split(b"\0")
-    del buf  # the set being built is the call's memory peak
-    codes = frozenset(codes)
-    if len(codes) < count * len(inner):
+    pad = _BYTES[total(coarse) + 1 :]
+    tables = [bytes((0, *e)) + pad for e in enumerate_shuffles(coarse, fine)]
+    codes = frozenset(f.translate(table) for table in tables for f in inner)
+    if len(codes) < len(tables) * len(inner):
         raise CubeError(
-            f"{count * len(inner) - len(codes)} shuffle products "
-            f"collide in {word.rows}"
+            f"{len(tables) * len(inner) - len(codes)} shuffle products "
+            f"collide in Sh{outer} o {len(inner)} inner codes"
         )
     return codes
 

@@ -9,31 +9,39 @@ the kernel is spanned by the complement.  Collapsing layer-first and
 then through the palindrome axes outermost-last drives every pair to an
 empty residual or to the single total block crossing.
 
+Both walks hold a vertex as (outer, K), outer = (cd, r): the products
+E o K of the whole outer shuffle set E = Sh(cd, r) and a set K of inner
+shuffles, so its size is |E| |K|.  A top vertex reads cd = pair[1], r
+(row 3) and K off its word (`cubes.vertex_hom_layers`).  Products are
+composed (`cubes.compose_shuffles`) only for the translations T below and
+for the residual and `IntermediateCube.codes`.  When r_l refines r_u, a minimal
+coset representative for S_{r_l} in S_cd factors uniquely through S_{r_u}
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2.4), so Sh(cd, r_l)
+= Sh(cd, r_u) o Sh(r_u, r_l), and in the upper's coordinates
+
+    E_l o K_l = E_u o (Sh(r_u, r_l) o K_l) = E_u o T.
+
+So each collapse (`_collapse_step`) checks that r_l refines r_u, forms T
+with a collision check, checks T <= K_u and keeps (outer_u, K_u - T).
+That a lower vertex's outer side is the whole of E_u is the one fact the
+walk does not check at run time; tier-1 pins it against the products of
+`cubes.word_factorizations`.  At the layer the two vertices at one beta
+share rows 3-4, hence (cd, r), and T = F1: their inner sets are F0 =
+Sh(v00, v01) and F1 = Sh(v10, v11), where v10 and v11 are v00 and v01
+with the delta1 cuts added.  An f in F1 keeps the v10 blocks, hence the
+v00 ones, and is increasing on each v01 block, since a delta1 cut puts
+its two halves in different v10 blocks.  So F1 lies in F0, and the layer
+kernel is E o (F0 - F1) with no product built.
+
 The collapses form a binary tree: each vertex of a lower level is the
 difference of two vertices of the level above, and feeds one vertex
 below it.  `total_fiber` walks that tree depth first, so it holds one
-pending set per level instead of whole levels, and keeps only each
+pending vertex per level instead of whole levels, and keeps only each
 level's sizes and the residual.  An axis that no psi bit reads (the eta
 axes of the AC_Unbal cubes) leaves every vertex as it is, so the walk
 builds only its 0 side and copies the sizes to the 1 side.
 `initial_cube` and `take_fiber_along` build whole levels, for the
 readers of a level's sets.
-
-The leaves of the walk are the layer kernels (`_layer_kernel`).  The two
-vertices at one beta share rows 3-4, hence one outer shuffle set E, and
-their inner sets nest: F0 = Sh(v00, v01) and F1 = Sh(v10, v11), where
-v10 and v11 are v00 and v01 with the delta1 cuts added.  An f in F1
-keeps the v10 blocks, hence the v00 ones, and is increasing on each v01
-block, since a delta1 cut puts its two halves in different v10 blocks.
-So F1 lies in F0, the kernel is E o (F0 - F1) and the lower vertex
-E o F1, both composed in C from one buffer of E's translate tables
-(`cubes.outer_tables`), and the upper vertex is never built as one set.
-
-Diagrams are kept as byte codes (`cubes.word_codes`) in frozensets, and
-every later collapse is one frozenset difference (`_kernel`): the lower
-set lies inside the upper one exactly when the difference and the lower
-set together have as many codes as the upper set.  They are decoded into
-sorted one-line tuples only when `vertex_sets` is read.
 """
 
 from __future__ import annotations
@@ -52,18 +60,15 @@ from .compositions import (
     total,
 )
 from .cubes import (
-    CubeError,
     CubeSpec,
-    bc_vertex,
     bc_word,
     build_bifactorization,
-    outer_tables,
-    shuffle_products,
+    compose_shuffles,
+    shuffle_codes,
     vertex_hom_layers,
-    vertex_rank_from_word,
 )
 from .perms import Perm, block_cross, decode_sorted
-from .shuffles import enumerate_shuffles
+from .shuffles import enumerate_shuffles, shuffle_count
 
 
 class FiberError(ValueError):
@@ -78,19 +83,25 @@ class FiberContainmentError(FiberError):
 Index = tuple[int, ...]
 DiagramSet = tuple[Perm, ...]
 Codes = frozenset[bytes]
+Vertex = tuple[Pair, Codes]  # (outer layer (cd, r), inner codes K): Sh(cd, r) o K
 
 
 @dataclass(frozen=True)
 class IntermediateCube:
     """One stage of the iteration: `level` axes remain and every remaining
-    index carries the byte codes of the diagrams spanning its vertex."""
+    index carries its vertex as (outer layer, inner codes)."""
 
     axes: tuple[str, ...]
-    codes: dict[Index, Codes]
+    vertices: dict[Index, Vertex]
 
     @property
     def level(self) -> int:
         return len(self.axes)
+
+    @cached_property
+    def codes(self) -> dict[Index, Codes]:
+        """Every vertex's diagrams as byte codes, composed E o K."""
+        return {index: compose_shuffles(*v) for index, v in self.vertices.items()}
 
     @cached_property
     def vertex_sets(self) -> dict[Index, DiagramSet]:
@@ -103,7 +114,8 @@ def collapse_order(cube: CubeSpec) -> list[str]:
 
     The trailing (zeta/eta) axes may also be collapsed in reverse, with
     the same result.  Orders that move the layer later or permute the eps
-    axes break the set-level containment and are rejected by `_kernel`.
+    axes break the set-level containment and are rejected by
+    `_collapse_step`.
     """
     axes = cube.bc_axes()
     eps = sorted(
@@ -114,19 +126,25 @@ def collapse_order(cube: CubeSpec) -> list[str]:
     return ["layer", *eps, *tail]
 
 
+def _top_vertex(spec: CubeSpec, beta: Index, layer: int) -> Vertex:
+    """The Beck-Chevalley vertex at (beta, layer) as (outer layer, inner
+    codes), read off its word; no product is composed."""
+    outer, inner = vertex_hom_layers(bc_word(spec, beta, layer))
+    return outer, shuffle_codes(*inner)
+
+
 def initial_cube(pair: Pair) -> IntermediateCube:
-    """The Beck-Chevalley cube itself, with its composed-shuffle sets."""
-    cube = build_bifactorization(pair)
-    axes = cube.bc_axes()
-    codes: dict[Index, Codes] = {}
-    for beta in iproduct((0, 1), repeat=cube.dim - 2):
+    """The Beck-Chevalley cube itself, every vertex on its inner set."""
+    spec = build_bifactorization(pair)
+    vertices: dict[Index, Vertex] = {}
+    for beta in iproduct((0, 1), repeat=spec.dim - 2):
         for layer in (0, 1):
-            codes[beta + (layer,)] = bc_vertex(cube, beta, layer).codes
-    return IntermediateCube(axes, codes)
+            vertices[beta + (layer,)] = _top_vertex(spec, beta, layer)
+    return IntermediateCube(spec.bc_axes(), vertices)
 
 
 def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
-    """Collapse one axis: kernel sets are upper minus lower products.
+    """Collapse one axis: every kernel is the upper vertex minus the lower.
 
     Raises FiberContainmentError if some lower set is not contained in its
     upper set, i.e. if the split-surjection bookkeeping fails.
@@ -135,63 +153,53 @@ def take_fiber_along(cube: IntermediateCube, axis: str) -> IntermediateCube:
         raise FiberError(f"axis {axis!r} already exhausted in {cube.axes}")
     pos = cube.axes.index(axis)
     rest = cube.axes[:pos] + cube.axes[pos + 1 :]
-    codes: dict[Index, Codes] = {}
-    for index, upper in cube.codes.items():
+    vertices: dict[Index, Vertex] = {}
+    for index, upper in cube.vertices.items():
         if index[pos] != 0:
             continue
-        lower = cube.codes[index[:pos] + (1,) + index[pos + 1 :]]
-        codes[index[:pos] + index[pos + 1 :]] = _kernel(upper, lower, axis, index)
-    return IntermediateCube(rest, codes)
+        lower = cube.vertices[index[:pos] + (1,) + index[pos + 1 :]]
+        vertices[index[:pos] + index[pos + 1 :]] = _collapse_step(
+            upper, lower, axis, index
+        )
+    return IntermediateCube(rest, vertices)
 
 
-def _kernel(upper: Codes, lower: Codes, axis: str, index: Index) -> Codes:
-    """upper - lower, collapsing `axis` at the upper vertex `index`; raises
-    FiberContainmentError unless lower lies inside upper."""
-    kernel = upper - lower
-    if len(kernel) + len(lower) != len(upper):
-        missing = lower - upper
+def _collapse_step(upper: Vertex, lower: Vertex, axis: str, index: Index) -> Vertex:
+    """The kernel of collapsing `axis` at the upper vertex `index`, on inner
+    sets (see the module docstring): the upper's outer layer, with K_u - T
+    for T = Sh(r_u, r_l) o K_l.  Raises FiberContainmentError unless r_l
+    refines r_u and T lies inside K_u."""
+    (outer, k_u), ((_, r_l), k_l) = upper, lower
+    r_u = outer[1]
+    if r_u != r_l and not refines(r_u, r_l):
+        raise FiberContainmentError(
+            f"collapsing {axis} at {index}: {r_l} does not refine {r_u}"
+        )
+    t = k_l if r_u == r_l else compose_shuffles((r_u, r_l), k_l)
+    kernel = k_u - t
+    if len(kernel) + len(t) != len(k_u):
+        missing = compose_shuffles(outer, t - k_u)
         raise FiberContainmentError(
             f"collapsing {axis} at {index}: {len(missing)} lower diagrams "
             f"missing from the upper set, e.g. {decode_sorted(missing)[0]}"
         )
-    return kernel
-
-
-def _layer_kernel(spec: CubeSpec, beta: Index) -> tuple[Codes, Codes]:
-    """(kernel, lower vertex) of the layer collapse at beta, both built on
-    one buffer of outer tables from the nested inner sets F1 <= F0 (see the
-    module docstring); the upper vertex is never built as one set."""
-    upper, lower = bc_word(spec, beta, 0), bc_word(spec, beta, 1)
-    (outer, inner0), (_, inner1) = vertex_hom_layers(upper), vertex_hom_layers(lower)
-    tables = outer_tables(*outer)
-    f0, f1 = (frozenset(map(bytes, enumerate_shuffles(*i))) for i in (inner0, inner1))
-    f0 = _kernel(f0, f1, "layer", beta + (0,))  # F0 - F1
-    kernel = shuffle_products(tables, sorted(f0), upper)
-    codes = shuffle_products(tables, sorted(f1), lower)
-    ranks = vertex_rank_from_word(upper), vertex_rank_from_word(lower)
-    if not kernel.isdisjoint(codes) or (len(kernel) + len(codes), len(codes)) != ranks:
-        raise CubeError(
-            f"layer products at {beta} collide or disagree with the ranks "
-            f"{ranks}: {len(kernel)} kernel and {len(codes)} lower products"
-        )
-    return kernel, codes
+    return outer, kernel
 
 
 def _collapse(
     spec: CubeSpec, order: tuple[str, ...]
-) -> tuple[Codes, list[dict[Index, int]]]:
-    """The residual codes of the Beck-Chevalley cube of `spec`, collapsed
+) -> tuple[Vertex, list[dict[Index, int]]]:
+    """The residual vertex of the Beck-Chevalley cube of `spec`, collapsed
     along `order`, and the size of every vertex at every level, top first.
 
     Depth first: the vertex left after the first j collapses is the kernel
-    of the two vertices left after j - 1 with order[j - 1] at 0 and at 1.
-    The leaves are the layer kernels (`_layer_kernel`), one per distinct
-    beta, which record both top sizes; only the pending upper set of each
-    level is kept while its lower one is built.  An unread axis is walked
-    once: its 1 side is the same set as its 0 side, so that set is
-    differenced with itself (an empty kernel, the containment check still
-    run), and every size recorded below at the 0 side is also the size at
-    the 1 side.
+    of the two vertices left after j - 1 with order[j - 1] at 0 and at 1,
+    and the leaves are the top vertices; only the pending upper vertex of
+    each level is kept while its lower one is built.  An unread axis is
+    walked once: its 1 side is the same vertex as its 0 side, so that
+    vertex is collapsed with itself (an empty kernel, the containment check
+    still run), and every size recorded below at the 0 side is also the
+    size at the 1 side.
     """
     axes = spec.bc_axes()
     assert order[0] == axes[-1] == "layer", order
@@ -204,13 +212,12 @@ def _collapse(
         a for i, a in enumerate(spec.axis_names)
         if not any(mask >> i & 1 for mask in spec.layout)
     }
+    count = cache(shuffle_count)  # |E| per distinct outer layer of the pair
 
-    def walk(j: int) -> Codes:
-        if j == 1:
-            beta = tuple(bits[a] for a in remaining[1])
-            codes, lower = _layer_kernel(spec, beta)
-            sizes[0][beta + (0,)] = len(codes) + len(lower)
-            sizes[0][beta + (1,)] = len(lower)
+    def walk(j: int) -> Vertex:
+        if j == 0:
+            index = tuple(bits[a] for a in axes)
+            vertex = _top_vertex(spec, index[:-1], index[-1])
         else:
             axis = order[j - 1]
             bits[axis] = 0
@@ -227,9 +234,10 @@ def _collapse(
             else:
                 bits[axis] = 1
                 lower = walk(j - 1)
-            codes = _kernel(upper, lower, axis, index)
-        sizes[j][tuple(bits[a] for a in remaining[j])] = len(codes)
-        return codes
+            vertex = _collapse_step(upper, lower, axis, index)
+        outer, inner = vertex
+        sizes[j][tuple(bits[a] for a in remaining[j])] = count(*outer) * len(inner)
+        return vertex
 
     return walk(len(axes)), sizes
 
@@ -283,8 +291,8 @@ def total_fiber(pair: Pair) -> FiberReport:
     """
     spec = build_bifactorization(pair)
     order = tuple(collapse_order(spec))
-    codes, sizes = _collapse(spec, order)
-    residual = decode_sorted(codes)
+    vertex, sizes = _collapse(spec, order)
+    residual = decode_sorted(compose_shuffles(*vertex))
     return FiberReport(
         pair=pair,
         case=classify_pair(*pair),

@@ -617,19 +617,21 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert main(["render", "--pair", "1,1;1,1", "--level", "9",
                  "--out", str(tmp_path)]) == 2
     assert main(["check", "--n", "3", "--pair", "1,1;1,1"]) == 2
-    real = fiber_mod._layer_kernel  # the 2-strand cube has only the layer axis
+    real = fiber_mod._top_vertex  # the 2-strand cube has only the layer axis
 
-    def other(spec, beta):
-        _, lower = real(spec, beta)
-        return frozenset({bytes((1, 2))}), lower  # a wrong residual: the identity
+    def other(spec, beta, layer):
+        outer, inner = real(spec, beta, layer)
+        if layer:  # the lower vertex {21}: a wrong residual, the identity
+            return outer, frozenset({bytes((2, 1))})
+        return outer, inner
 
-    monkeypatch.setattr(fiber_mod, "_layer_kernel", other)
+    monkeypatch.setattr(fiber_mod, "_top_vertex", other)
     assert main(check) == 1
 
-    def broken(spec, beta):
+    def broken(spec, beta, layer):
         raise FiberContainmentError("lower set not inside the upper set")
 
-    monkeypatch.setattr(fiber_mod, "_layer_kernel", broken)
+    monkeypatch.setattr(fiber_mod, "_top_vertex", broken)
     assert main(check) == 3
     err = capsys.readouterr().err
     assert "internal error: lower set not inside the upper set" in err

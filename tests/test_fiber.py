@@ -3,8 +3,7 @@
 import hashlib
 import json
 import weakref
-from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -17,6 +16,7 @@ from nilschober.compositions import (
     refines,
 )
 import nilschober.algebra as algebra
+import nilschober.cubes as cubes
 import nilschober.fiber as fiber
 import nilschober.oracle as oracle
 import nilschober.report as report
@@ -32,7 +32,14 @@ from nilschober.fiber import (
     total_fiber,
     verdict_of,
 )
-from nilschober.cubes import CubeError, bc_vertex, build_bifactorization
+from nilschober.cubes import (
+    CubeError,
+    bc_vertex,
+    bc_word,
+    build_bifactorization,
+    compose_shuffles,
+    word_factorizations,
+)
 from nilschober.oracle import HomSpace
 from nilschober.perms import block_cross
 from nilschober.report import build_report, report_ok, to_json, two_part_pairs
@@ -237,32 +244,32 @@ def test_depth_first_matches_level_at_a_time(n):
 
 
 def test_each_top_vertex_built_once(monkeypatch):
-    """Each distinct layer kernel is built once, and no Beck-Chevalley
-    vertex is built whole.  No mask of the layout reads an eta axis, so
-    the 1 side of one repeats its 0 side and is not built: with u such
-    axes a pair builds 2^(d - 1 - u) layer kernels, all with those axes at
-    0, and still records a size at all 2^d top vertices."""
-    real = fiber._layer_kernel
+    """Each distinct top vertex is built once, on its inner set, and no
+    Beck-Chevalley vertex is built whole.  No mask of the layout reads an
+    eta axis, so the 1 side of one repeats its 0 side and is not built:
+    with u such axes a pair builds 2^(d - u) top vertices, all with those
+    axes at 0, and still records a size at all 2^d top vertices."""
+    real = fiber._top_vertex
     vertices = []
-    monkeypatch.setattr(fiber, "bc_vertex", lambda *args: vertices.append(args))
+    monkeypatch.setattr(cubes, "bc_vertex", lambda *args: vertices.append(args))
     for pair, u in [(((2, 3), (2, 3)), 0), (((1, 2), (2, 1)), 0),
                     (((2, 4), (2, 4)), 1), (((3, 4), (3, 4)), 0),
                     (((2, 2), (1, 3)), 0), (((1, 4), (3, 2)), 0),
                     (((1, 4), (1, 4)), 2), (((1, 9), (1, 9)), 7)]:
         calls = []
 
-        def counted(spec, beta):
-            calls.append(beta)
-            return real(spec, beta)
+        def counted(spec, beta, layer):
+            calls.append(beta + (layer,))
+            return real(spec, beta, layer)
 
-        monkeypatch.setattr(fiber, "_layer_kernel", counted)
+        monkeypatch.setattr(fiber, "_top_vertex", counted)
         rep = total_fiber(pair)
         spec = build_bifactorization(pair)
         read = [any(mask >> i & 1 for mask in spec.layout) for i in range(spec.dim)]
         unread = [i - 2 for i in range(2, spec.dim) if not read[i]]
         d = len(rep.order)
         assert len(unread) == u, pair
-        assert len(calls) == len(set(calls)) == 2 ** (d - 1 - u), pair
+        assert len(calls) == len(set(calls)) == 2 ** (d - u), pair
         assert not [call for call in calls if any(call[i] for i in unread)], pair
         assert len(rep.sizes[0]) == 2**d
     assert vertices == []
@@ -287,27 +294,20 @@ def test_sweep_n10_digest():
 
 def test_broken_lower_vertex_fails_containment(monkeypatch):
     """A top vertex missing a code that its kernel passes on to a lower
-    vertex of the next collapse fails there, on both walks: the depth-first
-    walk loses it from the lower set of its layer kernel at beta = (1, 0),
-    the level-at-a-time walk from the vertex that bc_vertex builds."""
-    real_kernel = fiber._layer_kernel
-    real_vertex = fiber.bc_vertex
+    vertex of the next collapse fails there, on both walks.  The two top
+    vertices at beta = (1, 0) are read on the one-shuffle outer layer
+    (cd, cd), whose inner set is the whole product set, so that the layer-1
+    vertex can lose a single code."""
+    real = fiber._top_vertex
 
-    def dropping_kernel(spec, beta):
-        kernel, lower = real_kernel(spec, beta)
+    def dropping(spec, beta, layer):
+        vertex = real(spec, beta, layer)
         if beta != (1, 0):
-            return kernel, lower
-        code = min(lower)
-        return kernel | {code}, lower - {code}
-
-    def dropping_vertex(spec, beta, layer):
-        vertex = real_vertex(spec, beta, layer)
-        if (beta, layer) != ((1, 0), 1):
             return vertex
-        return replace(vertex, codes=vertex.codes - {min(vertex.codes)})
+        cd, codes = vertex[0][0], compose_shuffles(*vertex)
+        return (cd, cd), codes - {min(codes)} if layer else codes
 
-    monkeypatch.setattr(fiber, "_layer_kernel", dropping_kernel)
-    monkeypatch.setattr(fiber, "bc_vertex", dropping_vertex)
+    monkeypatch.setattr(fiber, "_top_vertex", dropping)
     message = (
         r"^collapsing eps1 at \(0, 0\): 1 lower diagrams missing from the "
         r"upper set, e\.g\. \(1, 2, 3, 4, 5\)$"
@@ -320,16 +320,19 @@ def test_broken_lower_vertex_fails_containment(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_layer_kernel_is_the_difference_of_the_layer_vertices(n):
-    """For every beta of every pair, the layer kernel is the upper vertex
-    minus the lower one, and its two sets give the two vertex sizes."""
+    """For every beta of every pair, the two layer vertices share their
+    outer layer, and the layer collapse leaves the upper vertex's products
+    minus the lower one's."""
     for pair in two_part_pairs(n):
         spec = build_bifactorization(pair)
         for beta in product((0, 1), repeat=spec.dim - 2):
-            upper, lower = (bc_vertex(spec, beta, layer).codes for layer in (0, 1))
-            kernel, codes = fiber._layer_kernel(spec, beta)
-            assert kernel == upper - lower, (pair, beta)
-            assert codes == lower, (pair, beta)
-            assert len(kernel) + len(codes) == len(upper), (pair, beta)
+            upper, lower = (fiber._top_vertex(spec, beta, layer) for layer in (0, 1))
+            top, bottom = (bc_vertex(spec, beta, layer).codes for layer in (0, 1))
+            kernel = fiber._collapse_step(upper, lower, "layer", beta + (0,))
+            assert upper[0] == lower[0] == kernel[0], (pair, beta)
+            assert compose_shuffles(*upper) == top, (pair, beta)
+            assert compose_shuffles(*lower) == bottom, (pair, beta)
+            assert compose_shuffles(*kernel) == top - bottom, (pair, beta)
 
 
 def test_layer_kernel_refuses_a_lower_inner_shuffle_outside_the_upper_ones(
@@ -356,37 +359,134 @@ def test_layer_kernel_refuses_a_lower_inner_shuffle_outside_the_upper_ones(
         total_fiber(((2, 3), (2, 3)))
 
 
-def test_layer_kernel_refuses_overlapping_parts(monkeypatch):
-    """A lower product that is also a kernel product is a collision of the
-    upper vertex, though each part alone has no collision."""
-    real = fiber.shuffle_products
-    inners = []
+def test_widened_lower_inner_set_fails_the_next_translation(monkeypatch):
+    """A layer-1 word given its layer-0 word's inner layer (F1 = F0) passes
+    the layer collapse with an empty kernel, so the eps1 step, a translation
+    (r_u = (2, 3), r_l = (1, 1, 1, 2)), finds T outside K_u on both walks."""
+    pair = ((2, 3), (2, 3))
+    spec = build_bifactorization(pair)
+    real = fiber.vertex_hom_layers
+    target = bc_word(spec, (0, 0), 1)
+    widened = real(bc_word(spec, (0, 0), 0))[1]
 
-    def overlapping(tables, inner, word):
-        inners.append(inner)
-        if len(inners) == 2:
-            inner = [inners[0][0], *inner[1:]]
-        return real(tables, inner, word)
+    def layers(word):
+        outer, inner = real(word)
+        return (outer, widened) if word == target else (outer, inner)
 
-    monkeypatch.setattr(fiber, "shuffle_products", overlapping)
-    with pytest.raises(
-        CubeError, match=r"^layer products at \(0, 0\) collide or disagree"
-    ):
-        fiber._layer_kernel(build_bifactorization(((2, 3), (2, 3))), (0, 0))
-
-
-@pytest.mark.parametrize("layer", [0, 1])
-def test_layer_kernel_refuses_a_rank_mismatch(monkeypatch, layer):
-    real = fiber.vertex_rank_from_word
-    spec = build_bifactorization(((2, 3), (2, 3)))
-    off = bc_vertex(spec, (0, 0), layer).word
-    monkeypatch.setattr(
-        fiber, "vertex_rank_from_word", lambda word: real(word) + (word == off)
+    monkeypatch.setattr(fiber, "vertex_hom_layers", layers)
+    message = (
+        r"^collapsing eps1 at \(0, 0\): 6 lower diagrams missing from the "
+        r"upper set, e\.g\. \(1, 3, 2, 4, 5\)$"
     )
+    with pytest.raises(FiberContainmentError, match=message):
+        total_fiber(pair)
+    cube = take_fiber_along(initial_cube(pair), "layer")
+    with pytest.raises(FiberContainmentError, match=message):
+        take_fiber_along(cube, "eps1")
+
+
+_ID3 = bytes((1, 2, 3))
+
+
+def test_collapse_step_refuses_a_lower_outer_layer_that_does_not_refine():
+    upper = ((3,), (1, 2)), frozenset({_ID3})
+    lower = ((3,), (2, 1)), frozenset({_ID3})
     with pytest.raises(
-        CubeError, match=r"^layer products at \(0, 0\) collide or disagree"
+        FiberContainmentError,
+        match=r"^collapsing eps1 at \(0,\): \(2, 1\) does not refine \(1, 2\)$",
     ):
-        fiber._layer_kernel(spec, (0, 0))
+        fiber._collapse_step(upper, lower, "eps1", (0,))
+
+
+def test_collapse_step_refuses_a_translation_outside_the_upper_set():
+    """T = Sh((1, 2), (1, 1, 1)) o {id} = {123, 132}, and 132 is not in
+    K_u = {id}: the message names the missing products E_u o {132}."""
+    upper = ((3,), (1, 2)), frozenset({_ID3})
+    lower = ((3,), (1, 1, 1)), frozenset({_ID3})
+    with pytest.raises(
+        FiberContainmentError,
+        match=r"^collapsing eps1 at \(0,\): 3 lower diagrams missing from the "
+        r"upper set, e\.g\. \(1, 3, 2\)$",
+    ):
+        fiber._collapse_step(upper, lower, "eps1", (0,))
+
+
+def test_collapse_step_refuses_colliding_translations():
+    """With K_l = {123, 132}, the translation 132 o 132 is 123 o 123."""
+    every = frozenset(map(bytes, permutations((1, 2, 3))))
+    upper = ((3,), (1, 2)), every
+    lower = ((3,), (1, 1, 1)), frozenset({_ID3, bytes((1, 3, 2))})
+    with pytest.raises(CubeError, match="^2 shuffle products collide"):
+        fiber._collapse_step(upper, lower, "eps1", (0,))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_walk_matches_product_set_differences(n):
+    """The fact the walk does not check at run time, that a lower vertex's
+    outer side is the whole of the upper's: at every vertex of every level,
+    E o K equals the plain set differences, along the collapse order, of
+    the top vertices' products composed as tuples (word_factorizations)."""
+    for pair in two_part_pairs(n):
+        spec = build_bifactorization(pair)
+        axes = spec.bc_axes()
+        level = {
+            beta + (layer,): {
+                bytes(w) for w in word_factorizations(bc_word(spec, beta, layer))
+            }
+            for beta in product((0, 1), repeat=spec.dim - 2)
+            for layer in (0, 1)
+        }
+        rep = total_fiber(pair)
+        for cube, axis in zip(rep.levels, [*rep.order, None]):
+            assert cube.axes == axes and cube.codes == level, (pair, cube.level)
+            if axis is not None:
+                pos = axes.index(axis)
+                axes = axes[:pos] + axes[pos + 1 :]
+                level = {
+                    i[:pos] + i[pos + 1 :]: codes - level[i[:pos] + (1,) + i[pos + 1 :]]
+                    for i, codes in level.items()
+                    if i[pos] == 0
+                }
+
+
+def test_walk_composes_only_translations_and_the_residual(monkeypatch):
+    """total_fiber builds no Beck-Chevalley vertex, and composes products
+    only for the translations T = Sh(r_u, r_l) o K_l of the steps with
+    r_u != r_l, and once for the residual."""
+    real_compose, real_step = fiber.compose_shuffles, fiber._collapse_step
+    vertices, composed, translations = [], [], []
+
+    def compose(outer, inner):
+        composed.append(outer)
+        return real_compose(outer, inner)
+
+    def step(upper, lower, axis, index):
+        if upper[0] != lower[0]:
+            translations.append((upper[0][1], lower[0][1]))
+        return real_step(upper, lower, axis, index)
+
+    monkeypatch.setattr(cubes, "bc_vertex", lambda *args: vertices.append(args))
+    monkeypatch.setattr(fiber, "compose_shuffles", compose)
+    monkeypatch.setattr(fiber, "_collapse_step", step)
+    steps = 0
+    for n in range(2, 9):
+        for pair in two_part_pairs(n):
+            composed.clear()
+            translations.clear()
+            total_fiber(pair)
+            assert composed[:-1] == translations, pair
+            assert len(composed) == len(translations) + 1, pair
+            steps += len(translations)
+    assert steps > 0 and vertices == []
+
+
+@pytest.mark.parametrize("walk", [total_fiber, initial_cube])
+def test_walk_refuses_256_strands_before_enumerating(monkeypatch, walk):
+    asked = []
+    monkeypatch.setattr(cubes, "enumerate_shuffles", lambda *layer: asked.append(layer))
+    with pytest.raises(CubeError, match="at most 255 strands, got 256"):
+        walk(((255, 1), (255, 1)))
+    assert asked == []
 
 
 def test_wrong_collapse_order_fails_containment():
